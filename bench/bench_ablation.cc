@@ -11,12 +11,13 @@
 
 #include "bench/bench_main.h"
 
+#include "core/block_shard.h"
 #include "core/expression_maintenance.h"
 #include "hypergraph/gamma_cycle.h"
-#include "core/key_equivalent_maintainer.h"
 #include "core/representative_index.h"
 #include "fd/closure_engine.h"
 #include "relation/weak_instance.h"
+#include "tests/test_util.h"
 #include "workload/generators.h"
 
 namespace ird {
@@ -59,9 +60,9 @@ void BM_Alg2_IndexedLookups(benchmark::State& bench) {
   opt.entities = static_cast<size_t>(bench.range(0));
   opt.seed = 3;
   DatabaseState state = MakeConsistentState(scheme, opt);
-  auto m = KeyEquivalentMaintainer::Create(std::move(state));
+  Result<BlockShard> m = test::Alg2Shard(state);
   IRD_CHECK(m.ok());
-  auto stream = MakeInsertStream(scheme, m->state(), 128, 0.3, 5);
+  auto stream = MakeInsertStream(scheme, state, 128, 0.3, 5);
   size_t i = 0;
   for (auto _ : bench) {
     const InsertInstance& ins = stream[i++ % stream.size()];

@@ -16,18 +16,19 @@
 //  - naive/chain, naive/split: full re-chase baseline
 //  - sharded/*:       the block-sharded router (ShardedMaintainer); pass
 //                     --shards=N to size its validation pool (default 1)
+// The ctm/alg2 series run one BlockShard over every relation of the
+// key-equivalent scheme; its split_free flag picks the algorithm.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <cstring>
 
-#include "core/block_maintainer.h"
-#include "core/ctm_maintainer.h"
-#include "core/key_equivalent_maintainer.h"
+#include "core/block_shard.h"
 #include "core/sharded_maintainer.h"
 #include "obs/export.h"
 #include "relation/weak_instance.h"
+#include "tests/test_util.h"
 #include "workload/generators.h"
 
 namespace ird {
@@ -52,20 +53,19 @@ DatabaseState MakeState(const DatabaseScheme& scheme, size_t entities) {
 void BM_CtmCheckInsert_Chain(benchmark::State& bench) {
   DatabaseScheme scheme = MakeChainScheme(4);
   DatabaseState state = MakeState(scheme, bench.range(0));
-  auto m = CtmMaintainer::Create(std::move(state), /*verify=*/false);
-  IRD_CHECK(m.ok());
-  auto stream = MakeInsertStream(scheme, m->state(), kStreamLength,
+  BlockShard m = test::Alg5Shard(state, /*verify_consistency=*/false).value();
+  auto stream = MakeInsertStream(scheme, state, kStreamLength,
                                  kConflictRate, 42);
   size_t i = 0;
-  size_t probes = 0;
+  const uint64_t probes_before = obs::CounterValue("maintain.alg5.probes");
   for (auto _ : bench) {
     const InsertInstance& ins = stream[i++ % stream.size()];
-    ExtensionStats stats;
-    auto verdict = m->CheckInsert(ins.rel, ins.tuple, &stats);
+    auto verdict = m.CheckInsert(ins.rel, ins.tuple);
     benchmark::DoNotOptimize(verdict);
-    probes += stats.probes;
   }
-  bench.counters["tuples"] = static_cast<double>(m->state().TupleCount());
+  const uint64_t probes =
+      obs::CounterValue("maintain.alg5.probes") - probes_before;
+  bench.counters["tuples"] = static_cast<double>(m.TupleCount());
   bench.counters["probes/op"] =
       static_cast<double>(probes) / static_cast<double>(bench.iterations());
 }
@@ -78,20 +78,19 @@ BENCHMARK(BM_CtmCheckInsert_Chain)
 void BM_Alg2CheckInsert_Chain(benchmark::State& bench) {
   DatabaseScheme scheme = MakeChainScheme(4);
   DatabaseState state = MakeState(scheme, bench.range(0));
-  auto m = KeyEquivalentMaintainer::Create(std::move(state));
-  IRD_CHECK(m.ok());
-  auto stream = MakeInsertStream(scheme, m->state(), kStreamLength,
+  BlockShard m = test::Alg2Shard(state).value();
+  auto stream = MakeInsertStream(scheme, state, kStreamLength,
                                  kConflictRate, 42);
   size_t i = 0;
-  size_t lookups = 0;
+  const uint64_t lookups_before = obs::CounterValue("maintain.alg2.lookups");
   for (auto _ : bench) {
     const InsertInstance& ins = stream[i++ % stream.size()];
-    MaintenanceStats stats;
-    auto verdict = m->CheckInsert(ins.rel, ins.tuple, &stats);
+    auto verdict = m.CheckInsert(ins.rel, ins.tuple);
     benchmark::DoNotOptimize(verdict);
-    lookups += stats.lookups;
   }
-  bench.counters["tuples"] = static_cast<double>(m->state().TupleCount());
+  const uint64_t lookups =
+      obs::CounterValue("maintain.alg2.lookups") - lookups_before;
+  bench.counters["tuples"] = static_cast<double>(m.TupleCount());
   bench.counters["lookups/op"] =
       static_cast<double>(lookups) / static_cast<double>(bench.iterations());
 }
@@ -104,17 +103,16 @@ BENCHMARK(BM_Alg2CheckInsert_Chain)
 void BM_Alg2CheckInsert_Split(benchmark::State& bench) {
   DatabaseScheme scheme = MakeSplitScheme(3);
   DatabaseState state = MakeState(scheme, bench.range(0));
-  auto m = KeyEquivalentMaintainer::Create(std::move(state));
-  IRD_CHECK(m.ok());
-  auto stream = MakeInsertStream(scheme, m->state(), kStreamLength,
+  BlockShard m = test::Alg2Shard(state).value();
+  auto stream = MakeInsertStream(scheme, state, kStreamLength,
                                  kConflictRate, 42);
   size_t i = 0;
   for (auto _ : bench) {
     const InsertInstance& ins = stream[i++ % stream.size()];
-    auto verdict = m->CheckInsert(ins.rel, ins.tuple);
+    auto verdict = m.CheckInsert(ins.rel, ins.tuple);
     benchmark::DoNotOptimize(verdict);
   }
-  bench.counters["tuples"] = static_cast<double>(m->state().TupleCount());
+  bench.counters["tuples"] = static_cast<double>(m.TupleCount());
 }
 BENCHMARK(BM_Alg2CheckInsert_Split)
     ->Arg(100)
@@ -122,31 +120,9 @@ BENCHMARK(BM_Alg2CheckInsert_Split)
     ->Arg(10000)
     ->Arg(100000);
 
-void BM_BlockMaintainerCheckInsert(benchmark::State& bench) {
-  DatabaseScheme scheme = MakeBlockScheme(3, 3);
-  DatabaseState state = MakeState(scheme, bench.range(0));
-  auto m = IndependenceReducibleMaintainer::Create(std::move(state),
-                                                   /*verify=*/false);
-  IRD_CHECK(m.ok());
-  auto stream = MakeInsertStream(scheme, m->state(), kStreamLength,
-                                 kConflictRate, 42);
-  size_t i = 0;
-  for (auto _ : bench) {
-    const InsertInstance& ins = stream[i++ % stream.size()];
-    auto verdict = m->CheckInsert(ins.rel, ins.tuple);
-    benchmark::DoNotOptimize(verdict);
-  }
-  bench.counters["tuples"] = static_cast<double>(m->state().TupleCount());
-}
-BENCHMARK(BM_BlockMaintainerCheckInsert)
-    ->Arg(100)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000);
-
-// The sharded router's per-insert overhead over the single-shard oracle:
-// same scheme, state and stream as BM_BlockMaintainerCheckInsert, routed
-// through ShardedMaintainer::CheckInsert.
+// Whole-scheme maintenance through the front door: a three-block scheme,
+// each insert routed to its block and validated there
+// (ShardedMaintainer::CheckInsert).
 void BM_ShardedCheckInsert(benchmark::State& bench) {
   DatabaseScheme scheme = MakeBlockScheme(3, 3);
   DatabaseState state = MakeState(scheme, bench.range(0));
@@ -161,10 +137,16 @@ void BM_ShardedCheckInsert(benchmark::State& bench) {
     auto verdict = m->CheckInsert(ins.rel, ins.tuple);
     benchmark::DoNotOptimize(verdict);
   }
+  bench.counters["tuples"] =
+      static_cast<double>(m->sharded_state().TupleCount());
   bench.counters["blocks"] = static_cast<double>(m->sharded_state().shard_count());
   bench.counters["jobs"] = static_cast<double>(m->jobs());
 }
-BENCHMARK(BM_ShardedCheckInsert)->Arg(100)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_ShardedCheckInsert)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Arg(100000);
 
 // Batched validation across shards: each iteration pushes a 64-op slice of
 // the stream through InsertBatch, so distinct blocks validate on the pool
@@ -227,17 +209,15 @@ BENCHMARK(BM_NaiveCheckInsert_Split)->Arg(100)->Arg(1000)->Arg(10000);
 void BM_CtmApplyInsert(benchmark::State& bench) {
   DatabaseScheme scheme = MakeChainScheme(4);
   DatabaseState empty(scheme);
-  auto m = CtmMaintainer::Create(std::move(empty));
-  IRD_CHECK(m.ok());
-  auto stream = MakeInsertStream(scheme, m->state(), 100000,
+  BlockShard m = test::Alg5Shard(empty).value();
+  auto stream = MakeInsertStream(scheme, empty, 100000,
                                  /*conflict_rate=*/0.0, 77);
   size_t i = 0;
   for (auto _ : bench) {
     const InsertInstance& ins = stream[i++ % stream.size()];
-    benchmark::DoNotOptimize(m->Insert(ins.rel, ins.tuple));
+    benchmark::DoNotOptimize(m.Insert(ins.rel, ins.tuple));
   }
-  bench.counters["final_tuples"] =
-      static_cast<double>(m->state().TupleCount());
+  bench.counters["final_tuples"] = static_cast<double>(m.TupleCount());
 }
 BENCHMARK(BM_CtmApplyInsert)->Iterations(100000);
 

@@ -8,9 +8,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <numeric>
 
-#include "core/ctm_maintainer.h"
-#include "core/key_equivalent_maintainer.h"
+#include "core/block_shard.h"
 #include "relation/weak_instance.h"
 #include "workload/generators.h"
 
@@ -40,6 +40,16 @@ double Measure(const std::vector<InsertInstance>& stream, size_t rounds,
   return NanosPerCall(calls, start, Clock::now());
 }
 
+// One BlockShard over every relation of a key-equivalent scheme: Algorithm
+// 5 when `split_free`, Algorithm 2 otherwise.
+Result<BlockShard> WholeSchemeShard(const DatabaseState& state,
+                                    bool split_free) {
+  std::vector<size_t> pool(state.scheme().size());
+  std::iota(pool.begin(), pool.end(), 0);
+  return BlockShard::Build(state, std::move(pool), split_free,
+                           /*verify_consistency=*/false);
+}
+
 void Row(const char* label, size_t entities, double ctm, double alg2,
          double naive) {
   std::printf("%-18s %10zu %14.0f %14.0f %16.0f\n", label, entities, ctm,
@@ -65,8 +75,8 @@ int main() {
       DatabaseScheme scheme = MakeChainScheme(4);
       DatabaseState state = MakeConsistentState(scheme, opt);
       auto stream = MakeInsertStream(scheme, state, 64, 0.25, 17);
-      auto ctm = CtmMaintainer::Create(state, /*verify=*/false);
-      auto alg2 = KeyEquivalentMaintainer::Create(state);
+      auto ctm = WholeSchemeShard(state, /*split_free=*/true);
+      auto alg2 = WholeSchemeShard(state, /*split_free=*/false);
       IRD_CHECK(ctm.ok() && alg2.ok());
       size_t naive_rounds = entities <= 1000 ? 1 : 1;
       double t_ctm = Measure(stream, 50, [&](const InsertInstance& ins) {
@@ -86,7 +96,7 @@ int main() {
       DatabaseScheme scheme = MakeSplitScheme(3);
       DatabaseState state = MakeConsistentState(scheme, opt);
       auto stream = MakeInsertStream(scheme, state, 64, 0.25, 19);
-      auto alg2 = KeyEquivalentMaintainer::Create(state);
+      auto alg2 = WholeSchemeShard(state, /*split_free=*/false);
       IRD_CHECK(alg2.ok());
       double t_alg2 = Measure(stream, 50, [&](const InsertInstance& ins) {
         (void)alg2->CheckInsert(ins.rel, ins.tuple);

@@ -37,19 +37,13 @@ Result<BlockShard> BlockShard::Build(const DatabaseState& state,
 
 Result<PartialTuple> BlockShard::CheckInsert(size_t rel,
                                              const PartialTuple& tuple,
-                                             MaintenanceStats* stats,
                                              MaintainScratch* scratch) const {
   if (split_free_) {
-    ExtensionStats ext_stats;
-    Result<PartialTuple> q = CheckInsertCtm(substate_.scheme(), *key_index_,
-                                            rel, tuple, &ext_stats, scratch);
-    if (stats != nullptr) {
-      stats->lookups += ext_stats.probes;
-    }
-    return q;
+    return CheckInsertCtm(substate_.scheme(), *key_index_, rel, tuple,
+                          scratch);
   }
   return CheckInsertKeyEquivalent(substate_.scheme(), pool_keys_,
-                                  *rep_index_, rel, tuple, stats, scratch);
+                                  *rep_index_, rel, tuple, scratch);
 }
 
 Status BlockShard::Apply(size_t rel, const PartialTuple& tuple) {
@@ -65,7 +59,7 @@ Status BlockShard::Insert(size_t rel, const PartialTuple& tuple,
   // End-to-end per-insert latency (check + apply), on top of the per-path
   // check histograms inside CheckInsertCtm / CheckInsertKeyEquivalent.
   IRD_HISTOGRAM_TIMER_NS(shard.insert_ns);
-  Result<PartialTuple> q = CheckInsert(rel, tuple, nullptr, scratch);
+  Result<PartialTuple> q = CheckInsert(rel, tuple, scratch);
   if (!q.ok()) return q.status();
   return Apply(rel, tuple);
 }

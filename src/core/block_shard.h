@@ -25,7 +25,10 @@ class BlockShard {
  public:
   // Builds the shard for `pool` from the pool's tuples in `state`. The pool
   // must be a key-equivalent block; `split_free` selects the Algorithm 5
-  // (StateKeyIndex) vs Algorithm 2 (RepresentativeIndex) machinery. With
+  // (StateKeyIndex) vs Algorithm 2 (RepresentativeIndex) machinery — the
+  // Theorem 5.5 selector. A pool of every relation makes one shard
+  // maintain a whole key-equivalent scheme with the chosen algorithm
+  // (Algorithm 5 is exact only when the pool is split-free). With
   // `verify_consistency`, the block substate is chased once (Algorithm 1)
   // even on the split-free path; building a split block's representative
   // instance verifies consistency as a byproduct either way. Fails with
@@ -48,9 +51,9 @@ class BlockShard {
   // (split), against this shard's state only. `rel` must belong to the
   // pool. Returns the block-extended tuple q on yes, kInconsistent on no.
   // Pure. `scratch` (optional, never shared between threads) recycles the
-  // restriction/join buffers across checks.
+  // restriction/join buffers across checks. Work is reported on the
+  // maintain.alg5.* (split-free) or maintain.alg2.* (split) counters.
   Result<PartialTuple> CheckInsert(size_t rel, const PartialTuple& tuple,
-                                   MaintenanceStats* stats = nullptr,
                                    MaintainScratch* scratch = nullptr) const;
 
   // Applies an insert this shard has already validated: updates the owned

@@ -2,17 +2,13 @@
 
 #include <utility>
 
-#include "core/key_equivalence.h"
-#include "core/split.h"
 #include "obs/obs.h"
-#include "relation/weak_instance.h"
 
 namespace ird {
 
 Result<PartialTuple> CheckInsertCtm(const DatabaseScheme& scheme,
                                     const StateKeyIndex& index, size_t rel,
                                     const PartialTuple& tuple,
-                                    ExtensionStats* stats,
                                     MaintainScratch* scratch) {
   IRD_CHECK(tuple.attrs() == scheme.relation(rel).attrs);
   IRD_COUNT(maintain.alg5.checks);
@@ -20,17 +16,11 @@ Result<PartialTuple> CheckInsertCtm(const DatabaseScheme& scheme,
   // constant-time in the state size, so its p99 must stay flat as states
   // grow (compare maintain.alg2.check_ns, which may not).
   IRD_HISTOGRAM_TIMER_NS(maintain.alg5.check_ns);
-  // Probes/extensions are tallied locally so the registry sees them on
-  // every return path — the constant-time invariant of Theorem 5.5 is
-  // asserted against these counters (tests/obs_invariants_test.cc).
+  // Probes are tallied locally and added to the registry once per check,
+  // on every return path — the constant-time invariant of Theorem 5.5 is
+  // asserted against this counter (tests/obs_invariants_test.cc).
   ExtensionStats local;
-  auto flush = [&] {
-    IRD_COUNT_ADD(maintain.alg5.probes, local.probes);
-    if (stats != nullptr) {
-      stats->probes += local.probes;
-      stats->extensions += local.extensions;
-    }
-  };
+  auto flush = [&] { IRD_COUNT_ADD(maintain.alg5.probes, local.probes); };
   MaintainScratch local_scratch;
   MaintainScratch* s = scratch != nullptr ? scratch : &local_scratch;
   // Step (1)-(2): q := t ⋈ t'_1 ⋈ ... ⋈ t'_n over the keys of S_rel.
@@ -56,37 +46,6 @@ Result<PartialTuple> CheckInsertCtm(const DatabaseScheme& scheme,
   }
   flush();
   return q;
-}
-
-Result<CtmMaintainer> CtmMaintainer::Create(DatabaseState state,
-                                            bool verify_consistency) {
-  if (!IsKeyEquivalent(state.scheme())) {
-    return FailedPrecondition(
-        "CtmMaintainer requires a key-equivalent scheme");
-  }
-  if (!IsSplitFree(state.scheme())) {
-    return FailedPrecondition(
-        "CtmMaintainer requires a split-free scheme (Corollary 3.3)");
-  }
-  if (verify_consistency && !IsConsistent(state)) {
-    return Inconsistent("initial state has no weak instance");
-  }
-  Result<StateKeyIndex> index = StateKeyIndex::Build(state);
-  if (!index.ok()) return index.status();
-  return CtmMaintainer(std::move(state), std::move(index).value());
-}
-
-Result<PartialTuple> CtmMaintainer::CheckInsert(size_t rel,
-                                                const PartialTuple& tuple,
-                                                ExtensionStats* stats) const {
-  return CheckInsertCtm(state_.scheme(), index_, rel, tuple, stats);
-}
-
-Status CtmMaintainer::Insert(size_t rel, const PartialTuple& tuple) {
-  Result<PartialTuple> q = CheckInsert(rel, tuple);
-  if (!q.ok()) return q.status();
-  state_.mutable_relation(rel).AddUnique(tuple);
-  return index_.AddTuple(rel, tuple);
 }
 
 }  // namespace ird

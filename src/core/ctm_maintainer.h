@@ -1,12 +1,12 @@
 // Algorithm 5 (paper §3.3.1): constant-time maintenance for split-free
 // key-equivalent database schemes. Per Theorem 3.3 / Corollary 3.3 this
 // solves the maintenance problem with a number of tuple accesses that
-// depends only on R and F — never on the state size.
+// depends only on R and F — never on the state size. Stateful maintenance
+// runs it through BlockShard (core/block_shard.h) on every split-free
+// block.
 
 #ifndef IRD_CORE_CTM_MAINTAINER_H_
 #define IRD_CORE_CTM_MAINTAINER_H_
-
-#include <vector>
 
 #include "core/state_key_index.h"
 #include "core/tuple_extension.h"
@@ -17,39 +17,12 @@ namespace ird {
 // Algorithm 5 on one instance <s, t>: extends t on each key of its scheme
 // (Algorithm 4) and intersects the results. Returns the joined tuple q on
 // yes, kInconsistent on no. Pure. `scratch` (optional) recycles the
-// restriction/join buffers across checks.
+// restriction/join buffers across checks. Work is reported on the
+// maintain.alg5.{checks,probes,rejects} counters.
 Result<PartialTuple> CheckInsertCtm(const DatabaseScheme& scheme,
                                     const StateKeyIndex& index, size_t rel,
                                     const PartialTuple& tuple,
-                                    ExtensionStats* stats = nullptr,
                                     MaintainScratch* scratch = nullptr);
-
-// Stateful wrapper over a whole split-free key-equivalent scheme.
-class CtmMaintainer {
- public:
-  // `state` must live on a split-free key-equivalent scheme and be
-  // consistent. `verify_consistency` additionally chases the initial state
-  // (exact but state-sized work); switch it off when the state is known
-  // consistent, e.g. built through maintained inserts.
-  static Result<CtmMaintainer> Create(DatabaseState state,
-                                      bool verify_consistency = true);
-
-  // Algorithm 5. Returns q on yes, kInconsistent on no.
-  Result<PartialTuple> CheckInsert(size_t rel, const PartialTuple& tuple,
-                                   ExtensionStats* stats = nullptr) const;
-
-  // CheckInsert + apply (state and key indexes).
-  Status Insert(size_t rel, const PartialTuple& tuple);
-
-  const DatabaseState& state() const { return state_; }
-
- private:
-  CtmMaintainer(DatabaseState state, StateKeyIndex index)
-      : state_(std::move(state)), index_(std::move(index)) {}
-
-  DatabaseState state_;
-  StateKeyIndex index_;
-};
 
 }  // namespace ird
 

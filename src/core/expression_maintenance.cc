@@ -5,6 +5,7 @@
 
 #include "algebra/expression.h"
 #include "core/key_equivalence.h"
+#include "obs/obs.h"
 #include "tableau/lossless.h"
 
 namespace ird {
@@ -151,8 +152,7 @@ Result<std::optional<PartialTuple>> ExpressionLookupPlan::LookupTotalTuple(
 
 Result<PartialTuple> CheckInsertByExpressions(
     const DatabaseScheme& scheme, const ExpressionLookupPlan& plan,
-    const DatabaseState& state, size_t rel, const PartialTuple& tuple,
-    MaintenanceStats* stats) {
+    const DatabaseState& state, size_t rel, const PartialTuple& tuple) {
   IRD_CHECK(tuple.attrs() == scheme.relation(rel).attrs);
   const std::vector<AttributeSet>& pool_keys = plan.keys();
   // Algorithm 2, with step (4)'s representative-instance probe replaced by
@@ -172,13 +172,12 @@ Result<PartialTuple> CheckInsertByExpressions(
     size_t k = unprocessed.back();
     unprocessed.pop_back();
     processed[k] = true;
-    if (stats != nullptr) ++stats->keys_processed;
     const AttributeSet& key = pool_keys[k];
     PartialTuple key_values = q.Restrict(key);
     Result<std::optional<PartialTuple>> p =
         plan.LookupTotalTuple(state, key, key_values);
     if (!p.ok()) return p.status();
-    if (stats != nullptr) ++stats->lookups;
+    IRD_COUNT(maintain.expr.lookups);
     const PartialTuple& v = p->has_value() ? **p : key_values;
     std::optional<PartialTuple> joined = q.Join(v);
     if (!joined.has_value()) {

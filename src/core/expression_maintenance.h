@@ -10,8 +10,9 @@
 // nonempty one exists on consistent states). Algorithm 2 then runs
 // unchanged with this lookup in place of the representative-instance probe.
 //
-// This module exists for fidelity and for the E3/E2 ablations; the indexed
-// maintainers in key_equivalent_maintainer.h are the production engines.
+// This module exists for fidelity and for the E3/E2 ablations; BlockShard
+// (core/block_shard.h), driving the indexed Algorithms 2 and 5, is the
+// production engine.
 
 #ifndef IRD_CORE_EXPRESSION_MAINTENANCE_H_
 #define IRD_CORE_EXPRESSION_MAINTENANCE_H_
@@ -19,7 +20,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/key_equivalent_maintainer.h"
 #include "relation/database_state.h"
 
 namespace ird {
@@ -55,11 +55,11 @@ class ExpressionLookupPlan {
 
 // Algorithm 2 with the §3.2 expression lookup: decides whether state ∪
 // {tuple on scheme[rel]} is consistent. The state must be consistent.
-// Returns the extended tuple q on yes, kInconsistent on no.
+// Returns the extended tuple q on yes, kInconsistent on no. Each key
+// lookup counts one maintain.expr.lookups.
 Result<PartialTuple> CheckInsertByExpressions(
     const DatabaseScheme& scheme, const ExpressionLookupPlan& plan,
-    const DatabaseState& state, size_t rel, const PartialTuple& tuple,
-    MaintenanceStats* stats = nullptr);
+    const DatabaseState& state, size_t rel, const PartialTuple& tuple);
 
 }  // namespace ird
 

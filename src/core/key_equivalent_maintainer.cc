@@ -1,9 +1,7 @@
 #include "core/key_equivalent_maintainer.h"
 
-#include <numeric>
 #include <utility>
 
-#include "core/key_equivalence.h"
 #include "obs/obs.h"
 
 namespace ird {
@@ -27,18 +25,10 @@ std::vector<AttributeSet> DistinctPoolKeys(const DatabaseScheme& scheme,
 }
 
 Result<PartialTuple> CheckInsertKeyEquivalent(
-    const DatabaseScheme& scheme, const std::vector<size_t>& pool,
-    const RepresentativeIndex& index, size_t rel, const PartialTuple& tuple,
-    MaintenanceStats* stats) {
-  return CheckInsertKeyEquivalent(scheme, DistinctPoolKeys(scheme, pool),
-                                  index, rel, tuple, stats);
-}
-
-Result<PartialTuple> CheckInsertKeyEquivalent(
     const DatabaseScheme& scheme,
     const std::vector<AttributeSet>& pool_keys,
     const RepresentativeIndex& index, size_t rel, const PartialTuple& tuple,
-    MaintenanceStats* stats, MaintainScratch* scratch) {
+    MaintainScratch* scratch) {
   IRD_CHECK(tuple.attrs() == scheme.relation(rel).attrs);
   IRD_COUNT(maintain.alg2.checks);
   // Algorithm 2's per-check latency: the expression-maintenance side of
@@ -66,13 +56,11 @@ Result<PartialTuple> CheckInsertKeyEquivalent(
     s->unprocessed.pop_back();
     s->processed[k] = 1;
     IRD_COUNT(maintain.alg2.keys_processed);
-    if (stats != nullptr) ++stats->keys_processed;
 
     const AttributeSet& key = pool_keys[k];
     q.RestrictInto(key, &s->key_seed);
     const PartialTuple* p = index.Lookup(key, s->key_seed);
     IRD_COUNT(maintain.alg2.lookups);
-    if (stats != nullptr) ++stats->lookups;
     // Step (4): v is the (unique) total tuple of the representative
     // instance with these key values, or the key values themselves.
     const PartialTuple& v = (p != nullptr) ? *p : s->key_seed;
@@ -96,34 +84,6 @@ Result<PartialTuple> CheckInsertKeyEquivalent(
   }
   // Step (11): yes, plus the extended tuple q.
   return q;
-}
-
-Result<KeyEquivalentMaintainer> KeyEquivalentMaintainer::Create(
-    DatabaseState state) {
-  if (!IsKeyEquivalent(state.scheme())) {
-    return FailedPrecondition(
-        "KeyEquivalentMaintainer requires a key-equivalent scheme");
-  }
-  std::vector<size_t> pool(state.scheme().size());
-  std::iota(pool.begin(), pool.end(), 0);
-  Result<RepresentativeIndex> index = RepresentativeIndex::Build(state, pool);
-  if (!index.ok()) return index.status();
-  return KeyEquivalentMaintainer(std::move(state),
-                                 std::move(index).value(), std::move(pool));
-}
-
-Result<PartialTuple> KeyEquivalentMaintainer::CheckInsert(
-    size_t rel, const PartialTuple& tuple, MaintenanceStats* stats) const {
-  return CheckInsertKeyEquivalent(state_.scheme(), pool_keys_, index_, rel,
-                                  tuple, stats);
-}
-
-Status KeyEquivalentMaintainer::Insert(size_t rel,
-                                       const PartialTuple& tuple) {
-  Result<PartialTuple> q = CheckInsert(rel, tuple);
-  if (!q.ok()) return q.status();
-  state_.mutable_relation(rel).AddUnique(tuple);
-  return index_.InsertTuple(rel, tuple);
 }
 
 }  // namespace ird

@@ -2,7 +2,9 @@
 // key-equivalent database schemes. Given a consistent state's
 // representative instance and an inserted tuple, decides in a bounded
 // number of single-tuple key lookups whether the enlarged state is still
-// consistent — the algebraic-maintainability of Theorem 3.2.
+// consistent — the algebraic-maintainability of Theorem 3.2. Stateful
+// maintenance runs it through BlockShard (core/block_shard.h) on every
+// split block.
 
 #ifndef IRD_CORE_KEY_EQUIVALENT_MAINTAINER_H_
 #define IRD_CORE_KEY_EQUIVALENT_MAINTAINER_H_
@@ -15,12 +17,6 @@
 
 namespace ird {
 
-// Statistics of one Algorithm 2 run (the quantities the paper bounds).
-struct MaintenanceStats {
-  size_t keys_processed = 0;
-  size_t lookups = 0;
-};
-
 // The distinct keys embedded in the pool's relations — Algorithm 2's key
 // worklist universe. Depends only on the scheme and pool, so callers that
 // check many inserts compute it once (BlockShard caches it per block).
@@ -28,54 +24,18 @@ std::vector<AttributeSet> DistinctPoolKeys(const DatabaseScheme& scheme,
                                            const std::vector<size_t>& pool);
 
 // Algorithm 2 on one instance <s, t>: `index` must be the representative
-// instance of the (pool-restricted) current state; `rel` ∈ pool is the
-// relation receiving `tuple`. Returns the extended tuple q on success
-// ("yes", plus q, as in the paper) or kInconsistent ("no"). Pure — neither
-// the state nor the index is modified.
-Result<PartialTuple> CheckInsertKeyEquivalent(
-    const DatabaseScheme& scheme, const std::vector<size_t>& pool,
-    const RepresentativeIndex& index, size_t rel, const PartialTuple& tuple,
-    MaintenanceStats* stats = nullptr);
-
-// As above with `pool_keys` precomputed by DistinctPoolKeys and optional
-// reusable scratch — the form the per-insert hot path (BlockShard) uses.
+// instance of the (pool-restricted) current state and `pool_keys` the
+// pool's DistinctPoolKeys; `rel` ∈ pool is the relation receiving `tuple`.
+// Returns the extended tuple q on success ("yes", plus q, as in the paper)
+// or kInconsistent ("no"). Pure — neither the state nor the index is
+// modified. `scratch` (optional) recycles the worklist and join buffers.
+// Work is reported on the maintain.alg2.{checks,keys_processed,lookups,
+// rejects} counters.
 Result<PartialTuple> CheckInsertKeyEquivalent(
     const DatabaseScheme& scheme,
     const std::vector<AttributeSet>& pool_keys,
     const RepresentativeIndex& index, size_t rel, const PartialTuple& tuple,
-    MaintenanceStats* stats = nullptr, MaintainScratch* scratch = nullptr);
-
-// Stateful wrapper over a whole key-equivalent scheme: owns the state and
-// keeps the representative instance in sync across accepted inserts.
-class KeyEquivalentMaintainer {
- public:
-  // `state` must live on a key-equivalent scheme and be consistent (Build
-  // of the representative index verifies consistency as a byproduct).
-  static Result<KeyEquivalentMaintainer> Create(DatabaseState state);
-
-  // Algorithm 2. Returns q on yes, kInconsistent on no.
-  Result<PartialTuple> CheckInsert(size_t rel, const PartialTuple& tuple,
-                                   MaintenanceStats* stats = nullptr) const;
-
-  // CheckInsert + apply: updates both the state and the index.
-  Status Insert(size_t rel, const PartialTuple& tuple);
-
-  const DatabaseState& state() const { return state_; }
-  const RepresentativeIndex& index() const { return index_; }
-
- private:
-  KeyEquivalentMaintainer(DatabaseState state, RepresentativeIndex index,
-                          std::vector<size_t> pool)
-      : state_(std::move(state)),
-        index_(std::move(index)),
-        pool_(std::move(pool)),
-        pool_keys_(DistinctPoolKeys(state_.scheme(), pool_)) {}
-
-  DatabaseState state_;
-  RepresentativeIndex index_;
-  std::vector<size_t> pool_;
-  std::vector<AttributeSet> pool_keys_;  // DistinctPoolKeys(scheme, pool_)
-};
+    MaintainScratch* scratch = nullptr);
 
 }  // namespace ird
 

@@ -15,8 +15,8 @@ Result<ShardedMaintainer> ShardedMaintainer::Create(DatabaseState state,
 }
 
 Result<PartialTuple> ShardedMaintainer::CheckInsert(
-    size_t rel, const PartialTuple& tuple, MaintenanceStats* stats) const {
-  return state_.shard(state_.BlockOf(rel)).CheckInsert(rel, tuple, stats);
+    size_t rel, const PartialTuple& tuple) const {
+  return state_.shard(state_.BlockOf(rel)).CheckInsert(rel, tuple);
 }
 
 Status ShardedMaintainer::Insert(size_t rel, const PartialTuple& tuple) {

@@ -40,8 +40,7 @@ class ShardedMaintainer {
   // Routes to the owning shard and validates block-locally (Algorithm 5 on
   // split-free shards, Algorithm 2 on split shards). Returns the
   // block-extended tuple q on yes, kInconsistent on no. Pure.
-  Result<PartialTuple> CheckInsert(size_t rel, const PartialTuple& tuple,
-                                   MaintenanceStats* stats = nullptr) const;
+  Result<PartialTuple> CheckInsert(size_t rel, const PartialTuple& tuple) const;
 
   // CheckInsert + apply on the owning shard.
   Status Insert(size_t rel, const PartialTuple& tuple);

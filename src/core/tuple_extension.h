@@ -14,8 +14,9 @@
 
 namespace ird {
 
-// Statistics of one extension run (for the ctm experiments: the number of
-// probes is bounded by |S| * |keys|, independent of the state size).
+// Tally of one extension run: the number of probes is bounded by
+// |S| * |keys|, independent of the state size. CheckInsertCtm sums it over
+// a check's keys and adds the total to maintain.alg5.probes once.
 struct ExtensionStats {
   size_t probes = 0;
   size_t extensions = 0;

@@ -26,15 +26,22 @@ void BatchAnalyzer::Worker() {
   uint64_t seen = 0;
   mu_.Lock();
   for (;;) {
-    while (!shutdown_ && generation_ == seen) work_cv_.Wait(mu_);
+    // Join only a batch that is still open (fn_ set). A worker that wakes
+    // after its batch closed must not register: it would read the reset
+    // fn_ and the stale count_, and its next_ claims would race the reset
+    // of the following batch. It goes back to waiting instead.
+    while (!shutdown_ && (generation_ == seen || fn_ == nullptr)) {
+      work_cv_.Wait(mu_);
+    }
     if (shutdown_) break;
     seen = generation_;
     const std::function<void(size_t)>* fn = fn_;
     const size_t count = count_;
     obs::ObsContext* ctx = ctx_;
-    // active_workers_ keeps the batch open until this worker has left its
-    // drain loop — ForEachIndex must not return (and a new batch must not
-    // reuse fn_/count_) while any worker may still claim an index.
+    // Registering in the same critical section that saw the batch open
+    // keeps it open until this worker has left its drain loop — ForEachIndex
+    // must not return (and a new batch must not reuse fn_/count_/next_)
+    // while any worker may still claim an index.
     ++active_workers_;
     mu_.Unlock();
     size_t processed = 0;
@@ -86,6 +93,8 @@ void BatchAnalyzer::ForEachIndex(size_t count,
   MutexLock lock(mu_);
   done_ += processed;
   while (!(done_ == count_ && active_workers_ == 0)) done_cv_.Wait(mu_);
+  // Close the batch in the critical section that saw it drain: from here a
+  // late waker finds fn_ null and does not register.
   fn_ = nullptr;
   ctx_ = nullptr;
 }

@@ -23,6 +23,12 @@
 // The batch handout state is guarded by mu_ except the atomic cursor —
 // and since the fields carry IRD_GUARDED_BY(mu_), that sentence is a
 // compiler-checked fact under clang -Wthread-safety, not a comment.
+// A batch is open from the moment ForEachIndex publishes fn_ until it
+// resets fn_ in the critical section that saw the batch drain. A worker
+// registers in active_workers_ only for an open batch, checked under mu_
+// in that same critical section; a worker that wakes after its batch
+// closed goes back to waiting, so it can never call a reset fn_ or claim
+// an index of the next batch.
 //
 // ForEachIndex blocks until every index has run. Payloads must not throw.
 

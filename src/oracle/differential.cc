@@ -1,18 +1,17 @@
 #include "oracle/differential.h"
 
+#include <numeric>
 #include <optional>
 #include <random>
 
-#include "core/block_maintainer.h"
+#include "core/block_shard.h"
 #include "core/classify.h"
 #include "core/consistency.h"
-#include "core/ctm_maintainer.h"
 #include "core/expression_maintenance.h"
 #include "core/independence.h"
 #include "core/independence_witness.h"
 #include "core/kep.h"
 #include "core/key_equivalence.h"
-#include "core/key_equivalent_maintainer.h"
 #include "core/recognition.h"
 #include "core/representative_index.h"
 #include "core/sharded_maintainer.h"
@@ -103,6 +102,17 @@ class Comparator {
   void Expect(bool agree, const std::string& routine, std::string detail) {
     IRD_COUNT(oracle.comparisons);
     if (!agree) Report(routine, std::move(detail));
+  }
+
+  // A random nonempty projection target: each attribute with chance 1/3.
+  AttributeSet RandomTarget(std::mt19937_64& rng) const {
+    std::vector<AttributeId> all = scheme_.AllAttrs().ToVector();
+    AttributeSet x;
+    for (AttributeId a : all) {
+      if (rng() % 3 == 0) x.Add(a);
+    }
+    if (x.Empty()) x.Add(all[rng() % all.size()]);
+    return x;
   }
 
   void CompareStructural() {
@@ -271,14 +281,9 @@ class Comparator {
     // Total projections: predetermined expressions and the representative
     // index vs the exhaustive chase.
     std::mt19937_64 rng(options_.seed + 2);
-    std::vector<AttributeId> all = scheme_.AllAttrs().ToVector();
     if (recognition.accepted) {
       for (size_t round = 0; round < options_.projection_targets; ++round) {
-        AttributeSet x;
-        for (AttributeId a : all) {
-          if (rng() % 3 == 0) x.Add(a);
-        }
-        if (x.Empty()) x.Add(all[rng() % all.size()]);
+        AttributeSet x = RandomTarget(rng);
         Result<PartialRelation> naive = TotalProjectionNaive(state, x);
         if (!naive.ok()) continue;
         PartialRelation bounded = TotalProjection(state, recognition, x);
@@ -310,39 +315,46 @@ class Comparator {
     }
 
     // Maintenance: every applicable maintainer vs re-chasing exhaustively.
-    std::optional<IndependenceReducibleMaintainer> block;
+    // The whole-scheme Algorithm 2 and 5 checks are one BlockShard over
+    // every relation, with the algorithm chosen by its split_free flag.
+    std::optional<ShardedMaintainer> block;
     if (recognition.accepted) {
-      Result<IndependenceReducibleMaintainer> m =
-          IndependenceReducibleMaintainer::Create(state);
+      Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
       if (m.ok()) {
         block.emplace(std::move(m).value());
       } else {
         Report("maintenance/block",
-               "block maintainer rejected a consistent state: " +
+               "sharded maintainer rejected a consistent state: " +
                    m.status().ToString());
       }
     }
-    std::optional<KeyEquivalentMaintainer> alg2;
+    std::vector<size_t> all_relations(scheme_.size());
+    std::iota(all_relations.begin(), all_relations.end(), 0);
+    std::optional<BlockShard> alg2;
     std::optional<ExpressionLookupPlan> plan;
     if (ke) {
-      Result<KeyEquivalentMaintainer> m = KeyEquivalentMaintainer::Create(state);
+      Result<BlockShard> m = BlockShard::Build(
+          state, all_relations, /*split_free=*/false,
+          /*verify_consistency=*/true);
       if (m.ok()) {
         alg2.emplace(std::move(m).value());
       } else {
         Report("maintenance/alg2",
-               "Algorithm 2 maintainer rejected a consistent state: " +
+               "Algorithm 2 shard rejected a consistent state: " +
                    m.status().ToString());
       }
       plan.emplace(ExpressionLookupPlan::Build(scheme_));
     }
-    std::optional<CtmMaintainer> alg5;
+    std::optional<BlockShard> alg5;
     if (ctm) {
-      Result<CtmMaintainer> m = CtmMaintainer::Create(state);
+      Result<BlockShard> m = BlockShard::Build(
+          state, all_relations, /*split_free=*/true,
+          /*verify_consistency=*/true);
       if (m.ok()) {
         alg5.emplace(std::move(m).value());
       } else {
         Report("maintenance/alg5",
-               "Algorithm 5 maintainer rejected a consistent state: " +
+               "Algorithm 5 shard rejected a consistent state: " +
                    m.status().ToString());
       }
     }
@@ -361,7 +373,7 @@ class Comparator {
              "optimized chase disagrees with exhaustive chase on " + which);
       if (block.has_value()) {
         Expect(block->CheckInsert(ins.rel, ins.tuple).ok() == truth,
-               "maintenance/block", "block maintainer misjudges " + which);
+               "maintenance/block", "sharded maintainer misjudges " + which);
       }
       if (alg2.has_value()) {
         Expect(alg2->CheckInsert(ins.rel, ins.tuple).ok() == truth,
@@ -380,64 +392,72 @@ class Comparator {
     }
 
     if (recognition.accepted) {
-      CompareShardedVsSingle(state, recognition, stream);
+      CompareSharded(state, recognition, stream);
     }
   }
 
-  // The sharded engine vs the single-shard oracle path: the same insert
-  // stream driven through both must produce byte-identical verdicts,
-  // post-insert materialized states and total projections, and the batch
-  // path (InsertBatch, which regroups ops per shard) must match the serial
-  // one op for op.
-  void CompareShardedVsSingle(const DatabaseState& state,
-                              const RecognitionResult& recognition,
-                              const std::vector<InsertInstance>& stream) {
-    constexpr char kRoutine[] = "maintenance/sharded-vs-single";
-    Result<IndependenceReducibleMaintainer> single_r =
-        IndependenceReducibleMaintainer::Create(state);
+  // The stateful front door against truths that share no code with
+  // BlockShard. The insert stream is applied for real: each verdict is
+  // checked by the exhaustive chase on a flat state that receives every
+  // accepted tuple in op order; the materialized shards must equal that
+  // flat state byte for byte; the routed total projections must equal the
+  // Theorem 4.1 expressions evaluated on it; IsCtm() must equal the naive
+  // split test over the blocks (Theorem 5.5); and replaying the accepted
+  // ops through InsertBatch (which regroups ops per shard) must accept
+  // every op and land on the same state.
+  void CompareSharded(const DatabaseState& state,
+                      const RecognitionResult& recognition,
+                      const std::vector<InsertInstance>& stream) {
+    constexpr char kRoutine[] = "maintenance/sharded";
     Result<ShardedMaintainer> sharded_r = ShardedMaintainer::Create(state);
-    Expect(single_r.ok() == sharded_r.ok(), kRoutine,
-           "engines disagree on accepting the initial state");
-    if (!single_r.ok() || !sharded_r.ok()) return;
-    IndependenceReducibleMaintainer single = std::move(single_r).value();
+    if (!sharded_r.ok()) {
+      Report(kRoutine, "sharded maintainer rejected a consistent state: " +
+                           sharded_r.status().ToString());
+      return;
+    }
     ShardedMaintainer sharded = std::move(sharded_r).value();
 
-    Expect(single.IsCtm() == sharded.IsCtm(), kRoutine,
-           "engines disagree on ctm (Theorem 5.5 over the shards)");
-    Expect(StateToString(single.state()) ==
-               StateToString(sharded.Materialize()),
-           kRoutine, "initial materialized states differ");
+    bool ctm = true;
+    for (const std::vector<size_t>& block : recognition.partition) {
+      if (!IsSplitFreeOracle(scheme_, block)) ctm = false;
+    }
+    Expect(sharded.IsCtm() == ctm, kRoutine,
+           "IsCtm() disagrees with the naive split test over the blocks "
+           "(Theorem 5.5)");
 
+    DatabaseState flat = state;
+    Expect(StateToString(flat) == StateToString(sharded.Materialize()),
+           kRoutine, "initial materialized state differs from the input");
     std::vector<InsertOp> ops;
     for (const InsertInstance& ins : stream) {
       std::string which = "insert " + ins.tuple.ToString(scheme_.universe()) +
                           " into " + scheme_.relation(ins.rel).name;
-      Status sv = single.Insert(ins.rel, ins.tuple);
-      Status dv = sharded.Insert(ins.rel, ins.tuple);
-      Expect(sv.ok() == dv.ok(), kRoutine,
-             "sharded verdict differs from single-shard on " + which);
-      if (sv.ok()) ops.push_back({ins.rel, ins.tuple});
-    }
-    Expect(StateToString(single.state()) ==
-               StateToString(sharded.Materialize()),
-           kRoutine, "post-insert materialized states differ");
-
-    // Total projections through the shard router vs the merged state.
-    std::mt19937_64 rng(options_.seed + 5);
-    std::vector<AttributeId> all = scheme_.AllAttrs().ToVector();
-    for (size_t round = 0; round < options_.projection_targets; ++round) {
-      AttributeSet x;
-      for (AttributeId a : all) {
-        if (rng() % 3 == 0) x.Add(a);
+      bool truth = WouldRemainConsistentNaive(flat, ins.rel, ins.tuple);
+      Status verdict = sharded.Insert(ins.rel, ins.tuple);
+      Expect(verdict.ok() == truth, kRoutine,
+             "sharded verdict disagrees with the exhaustive chase on " +
+                 which);
+      if (verdict.ok()) {
+        flat.mutable_relation(ins.rel).AddUnique(ins.tuple);
+        ops.push_back({ins.rel, ins.tuple});
       }
-      if (x.Empty()) x.Add(all[rng() % all.size()]);
-      PartialRelation merged = TotalProjection(single.state(), recognition, x);
+    }
+    Expect(StateToString(flat) == StateToString(sharded.Materialize()),
+           kRoutine,
+           "post-insert materialized state differs from the flat state");
+
+    // Total projections through the shard router vs the expressions
+    // evaluated on the flat state.
+    std::mt19937_64 rng(options_.seed + 5);
+    for (size_t round = 0; round < options_.projection_targets; ++round) {
+      AttributeSet x = RandomTarget(rng);
+      PartialRelation expected = TotalProjection(flat, recognition, x);
       PartialRelation fanned = sharded.TotalProjection(x);
       Expect(fanned.ToString(scheme_.universe()) ==
-                 merged.ToString(scheme_.universe()),
+                 expected.ToString(scheme_.universe()),
              kRoutine,
              "sharded [" + scheme_.universe().Format(x) +
-                 "] differs from the merged-state projection");
+                 "] differs from the flat-state projection");
     }
 
     // Batch path: replaying the accepted ops through InsertBatch on a fresh

@@ -21,12 +21,14 @@
 //   classification   ClassifyScheme flags vs oracle-assembled flags
 //   projection       Theorem 4.1 expressions and RepresentativeIndex vs
 //                    naive [X]
-//   maintenance      Algorithms 2/5, block maintainer, §3.2 expression
-//                    lookup vs re-chasing the enlarged state exhaustively;
-//                    sharded-vs-single drives one insert stream through the
-//                    ShardedMaintainer and the single-shard block maintainer
-//                    and demands byte-identical verdicts, materialized
-//                    states and total projections (serial and batch paths)
+//   maintenance      Algorithms 2/5 (one BlockShard over all relations),
+//                    ShardedMaintainer, §3.2 expression lookup vs
+//                    re-chasing the enlarged state exhaustively; `sharded`
+//                    applies one insert stream to the ShardedMaintainer and
+//                    checks verdicts (exhaustive chase), materialized state
+//                    (a flat state fed the accepted tuples), projections
+//                    (Theorem 4.1 on the flat state), ctm (naive split
+//                    test) and the batch replay
 
 #ifndef IRD_ORACLE_DIFFERENTIAL_H_
 #define IRD_ORACLE_DIFFERENTIAL_H_

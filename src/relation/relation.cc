@@ -1,6 +1,7 @@
 #include "relation/relation.h"
 
 #include <unordered_map>
+#include <unordered_set>
 
 namespace ird {
 
@@ -36,13 +37,12 @@ bool PartialRelation::Contains(const PartialTuple& tuple) const {
 
 bool PartialRelation::SetEquals(const PartialRelation& other) const {
   if (attrs_ != other.attrs_) return false;
-  for (const PartialTuple& t : tuples_) {
-    if (!other.Contains(t)) return false;
-  }
-  for (const PartialTuple& t : other.tuples_) {
-    if (!Contains(t)) return false;
-  }
-  return true;
+  // Expected O(n + m): hash each side's rows once instead of a Contains
+  // call per row, which scans tuples_ linearly on every hash hit. Set
+  // equality on the hashed copies collapses duplicates and ignores order.
+  using RowSet = std::unordered_set<PartialTuple, PartialTupleHash>;
+  return RowSet(tuples_.begin(), tuples_.end()) ==
+         RowSet(other.tuples_.begin(), other.tuples_.end());
 }
 
 bool PartialRelation::Satisfies(const FdSet& fds) const {

@@ -1,6 +1,11 @@
+// Whole-scheme maintenance through the front door, ShardedMaintainer: an
+// insert is validated in its key-equivalent block only (Theorem 4.2), by
+// Algorithm 5 on split-free blocks and Algorithm 2 on split blocks
+// (Theorem 5.5).
+
 #include <gtest/gtest.h>
 
-#include "core/block_maintainer.h"
+#include "core/sharded_maintainer.h"
 #include "relation/weak_instance.h"
 #include "tests/test_util.h"
 #include "workload/generators.h"
@@ -13,8 +18,7 @@ using test::Tuple;
 
 TEST(BlockMaintainerTest, RejectsNonReducibleScheme) {
   DatabaseState state(test::Example2());
-  Result<IndependenceReducibleMaintainer> m =
-      IndependenceReducibleMaintainer::Create(state);
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
   EXPECT_FALSE(m.ok());
   EXPECT_EQ(m.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -24,8 +28,7 @@ TEST(BlockMaintainerTest, Example1UniversityWorkflow) {
   // realistic insert sequence.
   DatabaseScheme s = test::Example1R();
   DatabaseState state(s);
-  Result<IndependenceReducibleMaintainer> m =
-      IndependenceReducibleMaintainer::Create(std::move(state));
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(std::move(state));
   ASSERT_TRUE(m.ok());
   EXPECT_TRUE(m->IsCtm());
   constexpr Value h1 = 1, r1 = 2, c1 = 3, t1 = 4, s1 = 5, g1 = 6, t2 = 7;
@@ -39,20 +42,20 @@ TEST(BlockMaintainerTest, Example1UniversityWorkflow) {
   // A second teacher in the same room at the same hour: violates HR -> T.
   EXPECT_FALSE(m->Insert(1, Tuple(s, "HTR", {h1, t2, r1})).ok());
   // The final state is consistent.
-  EXPECT_TRUE(IsConsistent(m->state()));
+  EXPECT_TRUE(IsConsistent(m->Materialize()));
 }
 
 TEST(BlockMaintainerTest, CtmFlagFollowsTheorem55) {
   {
     DatabaseState state(test::Example1R());
-    auto m = IndependenceReducibleMaintainer::Create(std::move(state));
+    auto m = ShardedMaintainer::Create(std::move(state));
     ASSERT_TRUE(m.ok());
     EXPECT_TRUE(m->IsCtm());
   }
   {
     // Example 4's scheme: one split block -> not ctm, but maintainable.
     DatabaseState state(test::Example4());
-    auto m = IndependenceReducibleMaintainer::Create(std::move(state));
+    auto m = ShardedMaintainer::Create(std::move(state));
     ASSERT_TRUE(m.ok());
     EXPECT_FALSE(m->IsCtm());
   }
@@ -64,8 +67,7 @@ TEST(BlockMaintainerTest, InsertsOnlyTouchTheRightBlock) {
   DatabaseState state(s);
   state.Insert("R1", {1, 2});
   state.Insert("R4", {1, 9});  // A=1 D=9
-  Result<IndependenceReducibleMaintainer> m =
-      IndependenceReducibleMaintainer::Create(std::move(state));
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(std::move(state));
   ASSERT_TRUE(m.ok());
   // Block 2 (DEF/DEG): D=9 already exists in block 1's R4, but block 2 has
   // no tuples, so any D-value is insertable there.
@@ -85,8 +87,7 @@ TEST(BlockMaintainerTest, AgreesWithChaseOnStreams) {
     opt.coverage = 0.6;
     opt.seed = 71;
     DatabaseState state = MakeConsistentState(s, opt);
-    Result<IndependenceReducibleMaintainer> m =
-        IndependenceReducibleMaintainer::Create(state);
+    Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
     ASSERT_TRUE(m.ok()) << s.ToString();
     std::vector<InsertInstance> stream =
         MakeInsertStream(s, state, 40, 0.4, 73);
@@ -102,21 +103,20 @@ TEST(BlockMaintainerTest, AgreesWithChaseOnStreams) {
 TEST(BlockMaintainerTest, AppliedStreamsStayConsistent) {
   DatabaseScheme s = MakeBlockScheme(2, 3);
   DatabaseState initial(s);
-  Result<IndependenceReducibleMaintainer> m =
-      IndependenceReducibleMaintainer::Create(initial);
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(initial);
   ASSERT_TRUE(m.ok());
   std::vector<InsertInstance> stream =
       MakeInsertStream(s, initial, 80, 0.25, 79);
   size_t accepted = 0;
   for (const InsertInstance& ins : stream) {
     bool chase_verdict =
-        WouldRemainConsistent(m->state(), ins.rel, ins.tuple);
+        WouldRemainConsistent(m->Materialize(), ins.rel, ins.tuple);
     Status applied = m->Insert(ins.rel, ins.tuple);
     EXPECT_EQ(applied.ok(), chase_verdict);
     accepted += applied.ok() ? 1 : 0;
   }
   EXPECT_GT(accepted, 0u);
-  EXPECT_TRUE(IsConsistent(m->state()));
+  EXPECT_TRUE(IsConsistent(m->Materialize()));
 }
 
 TEST(BlockMaintainerTest, Section42LocalToGlobalArgument) {
@@ -131,8 +131,7 @@ TEST(BlockMaintainerTest, Section42LocalToGlobalArgument) {
   state.Insert("R4", {a, d});
   state.mutable_relation(4).Add(Tuple(s, "DEF", {d, e, f}));
   state.mutable_relation(5).Add(Tuple(s, "DEG", {d, e, g}));
-  Result<IndependenceReducibleMaintainer> m =
-      IndependenceReducibleMaintainer::Create(state);
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
   ASSERT_TRUE(m.ok());
   EXPECT_TRUE(IsConsistent(state));
 }

@@ -15,6 +15,8 @@
 #include "core/split.h"
 #include "engine/batch.h"
 #include "engine/scheme_analysis.h"
+#include "obs/export.h"
+#include "obs/obs.h"
 #include "tests/test_util.h"
 
 namespace ird {
@@ -245,6 +247,46 @@ TEST(BatchAnalyzerTest, BackToBackGenerationsHandOutExactlyOnce) {
           << "generation " << generation << " index " << i;
     }
   }
+}
+
+// The late-wake race: a worker that wakes only after ForEachIndex has
+// returned must not join the closed batch (reset fn_, stale count_) or
+// claim an index of the next one. Tiny back-to-back batches on a small
+// pool make late wakers the common case. Every batch runs inside one
+// ObsContext, so the workers' adoption path (ctx_) is exercised too: the
+// context must see exactly one payload tally per index and one engine
+// batch per call, no more and no less.
+TEST(BatchAnalyzerTest, LateWakersNeverJoinAClosedBatch) {
+  constexpr size_t kBatches = 20000;
+  BatchAnalyzer batch(4);
+  obs::ObsContext context("late-wake");
+  uint64_t total = 0;
+  for (size_t generation = 0; generation < kBatches; ++generation) {
+    // Counts 2..5: a single index would run inline on the caller.
+    const size_t count = 2 + generation % 4;
+    std::vector<std::atomic<int>> hits(count);
+    for (std::atomic<int>& h : hits) h.store(0);
+    batch.ForEachIndex(count, [&](size_t i) {
+      hits[i].fetch_add(1, std::memory_order_relaxed);
+      IRD_COUNT(engine_test.late_wake_payloads);
+    });
+    for (size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(hits[i].load(), 1)
+          << "generation " << generation << " index " << i;
+    }
+    total += count;
+  }
+#ifndef IRD_OBS_DISABLED
+  obs::Snapshot delta = obs::ContextSnapshot(context);
+  EXPECT_EQ(test::CounterDelta(delta, "engine_test.late_wake_payloads"),
+            total);
+  EXPECT_EQ(test::CounterDelta(delta, "engine.batch.tasks"), total);
+  uint64_t batch_spans = 0;
+  for (const obs::SpanRegistry::Stat& span : delta.spans) {
+    if (span.name == "engine.batch") batch_spans = span.count;
+  }
+  EXPECT_EQ(batch_spans, kBatches);
+#endif
 }
 
 }  // namespace

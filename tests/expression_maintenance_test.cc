@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/block_shard.h"
 #include "core/expression_maintenance.h"
 #include "core/representative_index.h"
 #include "relation/weak_instance.h"
@@ -115,8 +116,7 @@ TEST(ExpressionMaintenanceTest, AgreesWithAlgorithm2OnStreams) {
     opt.seed = 31;
     DatabaseState state = MakeConsistentState(s, opt);
     ExpressionLookupPlan plan = ExpressionLookupPlan::Build(s);
-    Result<KeyEquivalentMaintainer> alg2 =
-        KeyEquivalentMaintainer::Create(state);
+    Result<BlockShard> alg2 = test::Alg2Shard(state);
     ASSERT_TRUE(alg2.ok());
     std::vector<InsertInstance> stream =
         MakeInsertStream(s, state, 30, 0.4, 33);
@@ -136,9 +136,10 @@ TEST(ExpressionMaintenanceTest, AgreesWithAlgorithm2OnStreams) {
 
 TEST(ExpressionMaintenanceTest, BoundedNumberOfLookups) {
   // Theorem 3.2's point: the number of selections depends only on R and F.
+  IRD_REQUIRE_OBS();
   DatabaseScheme s = MakeSplitScheme(2);
-  size_t lookups_small = 0;
-  size_t lookups_large = 0;
+  uint64_t lookups_small = 0;
+  uint64_t lookups_large = 0;
   for (size_t entities : {10u, 500u}) {
     StateGenOptions opt;
     opt.entities = entities;
@@ -146,9 +147,11 @@ TEST(ExpressionMaintenanceTest, BoundedNumberOfLookups) {
     DatabaseState state = MakeConsistentState(s, opt);
     ExpressionLookupPlan plan = ExpressionLookupPlan::Build(s);
     PartialTuple fresh = state.MakeTuple(0, {900001, 900002});
-    MaintenanceStats stats;
-    ASSERT_TRUE(CheckInsertByExpressions(s, plan, state, 0, fresh, &stats).ok());
-    (entities == 10u ? lookups_small : lookups_large) = stats.lookups;
+    obs::Snapshot delta = test::MeasureInContext([&] {
+      ASSERT_TRUE(CheckInsertByExpressions(s, plan, state, 0, fresh).ok());
+    });
+    (entities == 10u ? lookups_small : lookups_large) =
+        test::CounterDelta(delta, "maintain.expr.lookups");
   }
   EXPECT_EQ(lookups_small, lookups_large);
   EXPECT_GT(lookups_small, 0u);

@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "core/block_maintainer.h"
-#include "core/ctm_maintainer.h"
-#include "core/key_equivalent_maintainer.h"
+#include "core/block_shard.h"
+#include "core/sharded_maintainer.h"
 #include "core/split.h"
 #include "core/tuple_extension.h"
 #include "relation/weak_instance.h"
@@ -12,7 +11,11 @@
 namespace ird {
 namespace {
 
+using test::Alg2Shard;
+using test::Alg5Shard;
 using test::Attrs;
+using test::CounterDelta;
+using test::MeasureInContext;
 using test::Tuple;
 
 // --- Algorithm 2 (algebraic maintenance) ------------------------------------
@@ -27,8 +30,7 @@ TEST(Algorithm2Test, Example6RejectsTheInsert) {
   state.mutable_relation(1).Add(Tuple(s, "AC", {a, c}));
   state.mutable_relation(4).Add(Tuple(s, "BD", {b, d}));
   state.mutable_relation(5).Add(Tuple(s, "CDE", {c, d, e}));
-  Result<KeyEquivalentMaintainer> m =
-      KeyEquivalentMaintainer::Create(std::move(state));
+  Result<BlockShard> m = Alg2Shard(state);
   ASSERT_TRUE(m.ok());
   Result<PartialTuple> verdict =
       m->CheckInsert(0, Tuple(s, "ABE", {a, b, e2}));
@@ -53,8 +55,7 @@ TEST(Algorithm2Test, Example7RejectsTheInsert) {
   state.mutable_relation(3).Add(Tuple(s, "EB", {e2, b}));
   state.mutable_relation(3).Add(Tuple(s, "EB", {e3, b}));
   state.mutable_relation(4).Add(Tuple(s, "EC", {e1, c}));
-  Result<KeyEquivalentMaintainer> m =
-      KeyEquivalentMaintainer::Create(std::move(state));
+  Result<BlockShard> m = Alg2Shard(state);
   ASSERT_TRUE(m.ok());
   EXPECT_FALSE(m->CheckInsert(2, Tuple(s, "AE", {a, e})).ok());
   Result<PartialTuple> accept = m->CheckInsert(2, Tuple(s, "AE", {a, e1}));
@@ -66,8 +67,7 @@ TEST(Algorithm2Test, AcceptReturnsExtendedTuple) {
   DatabaseScheme s = test::Example9();
   DatabaseState state(s);
   state.Insert("R2", {2, 3});  // B C
-  Result<KeyEquivalentMaintainer> m =
-      KeyEquivalentMaintainer::Create(std::move(state));
+  Result<BlockShard> m = Alg2Shard(state);
   ASSERT_TRUE(m.ok());
   Result<PartialTuple> q = m->CheckInsert(0, Tuple(s, "AB", {1, 2}));
   ASSERT_TRUE(q.ok());
@@ -88,7 +88,7 @@ TEST(Algorithm2Test, AgreesWithChaseOnStreams) {
     opt.coverage = 0.6;
     opt.seed = 5;
     DatabaseState state = MakeConsistentState(s, opt);
-    Result<KeyEquivalentMaintainer> m = KeyEquivalentMaintainer::Create(state);
+    Result<BlockShard> m = Alg2Shard(state);
     ASSERT_TRUE(m.ok());
     std::vector<InsertInstance> stream =
         MakeInsertStream(s, state, 40, 0.4, 99);
@@ -106,24 +106,26 @@ TEST(Algorithm2Test, AgreesWithChaseOnStreams) {
 TEST(Algorithm2Test, AppliedInsertsKeepTheMaintainerInSync) {
   DatabaseScheme s = MakeChainScheme(3);
   DatabaseState initial(s);
-  Result<KeyEquivalentMaintainer> m = KeyEquivalentMaintainer::Create(initial);
+  Result<BlockShard> m = Alg2Shard(initial);
   ASSERT_TRUE(m.ok());
   std::vector<InsertInstance> stream =
       MakeInsertStream(s, initial, 60, 0.3, 7);
   for (const InsertInstance& ins : stream) {
     bool chase_verdict =
-        WouldRemainConsistent(m->state(), ins.rel, ins.tuple);
+        WouldRemainConsistent(m->substate(), ins.rel, ins.tuple);
     Status applied = m->Insert(ins.rel, ins.tuple);
     EXPECT_EQ(applied.ok(), chase_verdict);
   }
-  EXPECT_TRUE(IsConsistent(m->state()));
+  EXPECT_TRUE(IsConsistent(m->substate()));
 }
 
-TEST(Algorithm2Test, CreateRejectsNonKeyEquivalentScheme) {
+TEST(Algorithm2Test, FrontDoorShardsNonKeyEquivalentScheme) {
+  // Example 1's R is not key-equivalent, so no single Algorithm 2 block
+  // spans it; the front door splits it into its key-equivalent blocks.
   DatabaseState state(test::Example1R());
-  Result<KeyEquivalentMaintainer> m = KeyEquivalentMaintainer::Create(state);
-  EXPECT_FALSE(m.ok());
-  EXPECT_EQ(m.status().code(), StatusCode::kFailedPrecondition);
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_GT(m->sharded_state().shard_count(), 1u);
 }
 
 TEST(Algorithm2Test, CreateRejectsInconsistentState) {
@@ -131,7 +133,7 @@ TEST(Algorithm2Test, CreateRejectsInconsistentState) {
   DatabaseState state(s);
   state.Insert(0, {1, 2});
   state.Insert(0, {1, 3});
-  EXPECT_FALSE(KeyEquivalentMaintainer::Create(state).ok());
+  EXPECT_FALSE(Alg2Shard(state).ok());
 }
 
 // --- Algorithm 4 (tuple extension) ------------------------------------------
@@ -204,19 +206,33 @@ TEST(Algorithm5Test, Example10RejectsTheInsert) {
   DatabaseState state(s);
   state.Insert("R1", {a, b});
   state.Insert("R2", {b, c});
-  Result<CtmMaintainer> m = CtmMaintainer::Create(std::move(state));
+  Result<BlockShard> m = Alg5Shard(state);
   ASSERT_TRUE(m.ok());
   EXPECT_FALSE(m->CheckInsert(2, Tuple(s, "AC", {a, c2})).ok());
   EXPECT_TRUE(m->CheckInsert(2, Tuple(s, "AC", {a, c})).ok());
 }
 
-TEST(Algorithm5Test, CreateRejectsSplitScheme) {
+TEST(Algorithm5Test, FrontDoorUsesAlgorithm2OnSplitScheme) {
   // Example 4/5's scheme is key-equivalent but split: Algorithm 5 is not
-  // applicable (Corollary 3.3).
-  DatabaseState state(test::Example4());
-  Result<CtmMaintainer> m = CtmMaintainer::Create(state);
-  EXPECT_FALSE(m.ok());
-  EXPECT_EQ(m.status().code(), StatusCode::kFailedPrecondition);
+  // applicable (Corollary 3.3), so the front door is not ctm and validates
+  // with Algorithm 2. Example 7's rejecting insert shows it on the
+  // counters.
+  IRD_REQUIRE_OBS();
+  DatabaseScheme s = test::Example4();
+  constexpr Value a = 1, b = 2, c = 3, e = 10, e1 = 11;
+  DatabaseState state(s);
+  state.mutable_relation(0).Add(Tuple(s, "AB", {a, b}));
+  state.mutable_relation(1).Add(Tuple(s, "AC", {a, c}));
+  state.mutable_relation(3).Add(Tuple(s, "EB", {e1, b}));
+  state.mutable_relation(4).Add(Tuple(s, "EC", {e1, c}));
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_FALSE(m->IsCtm());
+  obs::Snapshot delta = MeasureInContext(
+      [&] { EXPECT_FALSE(m->CheckInsert(2, Tuple(s, "AE", {a, e})).ok()); });
+  EXPECT_EQ(CounterDelta(delta, "maintain.alg2.rejects"), 1u);
+  EXPECT_EQ(CounterDelta(delta, "maintain.alg5.rejects"), 0u);
+  EXPECT_EQ(CounterDelta(delta, "maintain.alg5.checks"), 0u);
 }
 
 TEST(Algorithm5Test, AgreesWithChaseOnStreams) {
@@ -230,7 +246,7 @@ TEST(Algorithm5Test, AgreesWithChaseOnStreams) {
     opt.coverage = 0.6;
     opt.seed = 13;
     DatabaseState state = MakeConsistentState(s, opt);
-    Result<CtmMaintainer> m = CtmMaintainer::Create(state);
+    Result<BlockShard> m = Alg5Shard(state);
     ASSERT_TRUE(m.ok());
     std::vector<InsertInstance> stream =
         MakeInsertStream(s, state, 40, 0.4, 17);
@@ -246,37 +262,39 @@ TEST(Algorithm5Test, AgreesWithChaseOnStreams) {
 TEST(Algorithm5Test, AppliedInsertsKeepIndexesInSync) {
   DatabaseScheme s = MakeChainScheme(4);
   DatabaseState initial(s);
-  Result<CtmMaintainer> m = CtmMaintainer::Create(initial);
+  Result<BlockShard> m = Alg5Shard(initial);
   ASSERT_TRUE(m.ok());
   std::vector<InsertInstance> stream =
       MakeInsertStream(s, initial, 60, 0.3, 29);
   for (const InsertInstance& ins : stream) {
     bool chase_verdict =
-        WouldRemainConsistent(m->state(), ins.rel, ins.tuple);
+        WouldRemainConsistent(m->substate(), ins.rel, ins.tuple);
     EXPECT_EQ(m->Insert(ins.rel, ins.tuple).ok(), chase_verdict);
   }
-  EXPECT_TRUE(IsConsistent(m->state()));
+  EXPECT_TRUE(IsConsistent(m->substate()));
 }
 
 TEST(Algorithm5Test, ProbeCountIndependentOfStateSize) {
   // The ctm property itself: the number of index probes per CheckInsert
   // does not grow with the state.
+  IRD_REQUIRE_OBS();
   DatabaseScheme s = MakeChainScheme(4);
-  size_t probes_small = 0;
-  size_t probes_large = 0;
+  uint64_t probes_small = 0;
+  uint64_t probes_large = 0;
   for (size_t entities : {20u, 2000u}) {
     StateGenOptions opt;
     opt.entities = entities;
     opt.seed = 31;
     DatabaseState state = MakeConsistentState(s, opt);
-    Result<CtmMaintainer> m = CtmMaintainer::Create(std::move(state), false);
+    Result<BlockShard> m = Alg5Shard(state, /*verify_consistency=*/false);
     ASSERT_TRUE(m.ok());
-    ExtensionStats stats;
     // A fresh tuple probes the same (relation, key) pairs whatever the
     // state contains.
-    PartialTuple probe = m->state().MakeTuple(0, {1000000, 1000001});
-    ASSERT_TRUE(m->CheckInsert(0, probe, &stats).ok());
-    (entities == 20u ? probes_small : probes_large) = stats.probes;
+    PartialTuple probe = m->substate().MakeTuple(0, {1000000, 1000001});
+    obs::Snapshot delta = MeasureInContext(
+        [&] { ASSERT_TRUE(m->CheckInsert(0, probe).ok()); });
+    (entities == 20u ? probes_small : probes_large) =
+        CounterDelta(delta, "maintain.alg5.probes");
   }
   EXPECT_EQ(probes_small, probes_large);
   EXPECT_GT(probes_small, 0u);
@@ -285,10 +303,11 @@ TEST(Algorithm5Test, ProbeCountIndependentOfStateSize) {
 // --- Rejection paths through the block router --------------------------------
 
 TEST(RejectionPathTest, SplitBlockAlgorithm2Reject) {
-  // Example 7's rejecting insert, routed through the block maintainer:
+  // Example 7's rejecting insert, routed through the sharded maintainer:
   // Example 4's scheme is a single *split* block, so the "no" must come
   // from the Algorithm 2 machinery — representative-instance lookups, with
   // pool keys actually processed.
+  IRD_REQUIRE_OBS();
   DatabaseScheme s = test::Example4();
   constexpr Value a = 1, b = 2, c = 3, e = 10, e1 = 11;
   DatabaseState state(s);
@@ -296,72 +315,71 @@ TEST(RejectionPathTest, SplitBlockAlgorithm2Reject) {
   state.mutable_relation(1).Add(Tuple(s, "AC", {a, c}));
   state.mutable_relation(3).Add(Tuple(s, "EB", {e1, b}));
   state.mutable_relation(4).Add(Tuple(s, "EC", {e1, c}));
-  Result<IndependenceReducibleMaintainer> m =
-      IndependenceReducibleMaintainer::Create(state);
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
   ASSERT_TRUE(m.ok()) << m.status().ToString();
   EXPECT_FALSE(m->IsCtm());  // the block is split (Theorem 5.5)
-  MaintenanceStats stats;
-  Result<PartialTuple> verdict =
-      m->CheckInsert(2, Tuple(s, "AE", {a, e}), &stats);
+  Result<PartialTuple> verdict = Inconsistent("not run");
+  obs::Snapshot delta = MeasureInContext(
+      [&] { verdict = m->CheckInsert(2, Tuple(s, "AE", {a, e})); });
   EXPECT_FALSE(verdict.ok());
   EXPECT_EQ(verdict.status().code(), StatusCode::kInconsistent);
-  EXPECT_GT(stats.keys_processed, 0u);
-  EXPECT_GT(stats.lookups, 0u);
+  EXPECT_GT(CounterDelta(delta, "maintain.alg2.keys_processed"), 0u);
+  EXPECT_GT(CounterDelta(delta, "maintain.alg2.lookups"), 0u);
   // A rejected Insert leaves the maintained state untouched.
-  size_t before = m->state().TupleCount();
+  size_t before = m->sharded_state().TupleCount();
   EXPECT_FALSE(m->Insert(2, Tuple(s, "AE", {a, e})).ok());
-  EXPECT_EQ(m->state().TupleCount(), before);
+  EXPECT_EQ(m->sharded_state().TupleCount(), before);
   EXPECT_TRUE(m->Insert(2, Tuple(s, "AE", {a, e1})).ok());
 }
 
 TEST(RejectionPathTest, SplitFreeBlockAlgorithm5Reject) {
   // Example 11's block {R5, R6} is split-free, so its "no" comes from
-  // Algorithm 5 — key-index probes (surfaced as stats.lookups) with *no*
-  // Algorithm 2 key processing.
+  // Algorithm 5 — key-index probes with *no* Algorithm 2 key processing.
+  IRD_REQUIRE_OBS();
   DatabaseScheme s = test::Example11();
   constexpr Value d = 4, e = 5, f = 6, e2 = 7, g = 8;
   DatabaseState state(s);
   state.Insert("R5", {d, e, f});
-  Result<IndependenceReducibleMaintainer> m =
-      IndependenceReducibleMaintainer::Create(state);
+  Result<ShardedMaintainer> m = ShardedMaintainer::Create(state);
   ASSERT_TRUE(m.ok()) << m.status().ToString();
-  MaintenanceStats stats;
   // D=d already determines E=e; a DEG tuple with E=e2 contradicts it.
-  Result<PartialTuple> verdict =
-      m->CheckInsert(5, Tuple(s, "DEG", {d, e2, g}), &stats);
+  Result<PartialTuple> verdict = Inconsistent("not run");
+  obs::Snapshot delta = MeasureInContext(
+      [&] { verdict = m->CheckInsert(5, Tuple(s, "DEG", {d, e2, g})); });
   EXPECT_FALSE(verdict.ok());
   EXPECT_EQ(verdict.status().code(), StatusCode::kInconsistent);
-  EXPECT_GT(stats.lookups, 0u);
-  EXPECT_EQ(stats.keys_processed, 0u);  // not the Algorithm 2 path
-  size_t before = m->state().TupleCount();
+  EXPECT_GT(CounterDelta(delta, "maintain.alg5.probes"), 0u);
+  // Not the Algorithm 2 path.
+  EXPECT_EQ(CounterDelta(delta, "maintain.alg2.keys_processed"), 0u);
+  size_t before = m->sharded_state().TupleCount();
   EXPECT_FALSE(m->Insert(5, Tuple(s, "DEG", {d, e2, g})).ok());
-  EXPECT_EQ(m->state().TupleCount(), before);
+  EXPECT_EQ(m->sharded_state().TupleCount(), before);
   EXPECT_TRUE(m->Insert(5, Tuple(s, "DEG", {d, e, g})).ok());
 }
 
 TEST(RejectionPathTest, Alg5RejectionProbesIndependentOfStateSize) {
   // Constant-time maintenance covers "no" answers too: the probe count of
   // a rejecting CheckInsert does not grow with the state.
+  IRD_REQUIRE_OBS();
   DatabaseScheme s = MakeChainScheme(4);
-  std::vector<size_t> probes;
+  std::vector<uint64_t> probes;
   for (size_t entities : {20u, 2000u}) {
     StateGenOptions opt;
     opt.entities = entities;
     opt.coverage = 1.0;
     opt.seed = 31;
     DatabaseState state = MakeConsistentState(s, opt);
-    Result<CtmMaintainer> m = CtmMaintainer::Create(std::move(state), false);
+    Result<BlockShard> m = Alg5Shard(state, /*verify_consistency=*/false);
     ASSERT_TRUE(m.ok());
-    const PartialTuple& existing = m->state().relation(0).tuples()[0];
+    const PartialTuple& existing = m->substate().relation(0).tuples()[0];
     const AttributeId a1 = *s.universe().Find("A1");
     const AttributeId a2 = *s.universe().Find("A2");
     // Same A1 value, contradicting A2: violates the FD A1 -> A2.
     PartialTuple clash(existing.attrs(),
                        {existing.At(a1), existing.At(a2) + 1000000});
-    ExtensionStats stats;
-    Result<PartialTuple> verdict = m->CheckInsert(0, clash, &stats);
-    EXPECT_FALSE(verdict.ok());
-    probes.push_back(stats.probes);
+    obs::Snapshot delta = MeasureInContext(
+        [&] { EXPECT_FALSE(m->CheckInsert(0, clash).ok()); });
+    probes.push_back(CounterDelta(delta, "maintain.alg5.probes"));
   }
   EXPECT_GT(probes[0], 0u);
   EXPECT_EQ(probes[0], probes[1]);
@@ -370,28 +388,28 @@ TEST(RejectionPathTest, Alg5RejectionProbesIndependentOfStateSize) {
 TEST(RejectionPathTest, Alg2RejectionLookupsIndependentOfStateSize) {
   // Algorithm 2's work per rejection is bounded by the number of distinct
   // pool keys (here 5: A1..A5), whatever the state holds.
+  IRD_REQUIRE_OBS();
   DatabaseScheme s = MakeChainScheme(4);
-  std::vector<size_t> lookups;
+  std::vector<uint64_t> lookups;
   for (size_t entities : {20u, 2000u}) {
     StateGenOptions opt;
     opt.entities = entities;
     opt.coverage = 1.0;
     opt.seed = 31;
     DatabaseState state = MakeConsistentState(s, opt);
-    Result<KeyEquivalentMaintainer> m =
-        KeyEquivalentMaintainer::Create(std::move(state));
+    Result<BlockShard> m = Alg2Shard(state);
     ASSERT_TRUE(m.ok());
-    const PartialTuple& existing = m->state().relation(0).tuples()[0];
+    const PartialTuple& existing = m->substate().relation(0).tuples()[0];
     const AttributeId a1 = *s.universe().Find("A1");
     const AttributeId a2 = *s.universe().Find("A2");
     PartialTuple clash(existing.attrs(),
                        {existing.At(a1), existing.At(a2) + 1000000});
-    MaintenanceStats stats;
-    Result<PartialTuple> verdict = m->CheckInsert(0, clash, &stats);
-    EXPECT_FALSE(verdict.ok());
-    EXPECT_EQ(stats.lookups, stats.keys_processed);
-    EXPECT_LE(stats.lookups, 5u);
-    lookups.push_back(stats.lookups);
+    obs::Snapshot delta = MeasureInContext(
+        [&] { EXPECT_FALSE(m->CheckInsert(0, clash).ok()); });
+    const uint64_t n = CounterDelta(delta, "maintain.alg2.lookups");
+    EXPECT_EQ(n, CounterDelta(delta, "maintain.alg2.keys_processed"));
+    EXPECT_LE(n, 5u);
+    lookups.push_back(n);
   }
   EXPECT_GT(lookups[0], 0u);
   EXPECT_EQ(lookups[0], lookups[1]);
@@ -405,8 +423,8 @@ TEST(MaintainerAgreementTest, Alg2AndAlg5SameVerdicts) {
   opt.entities = 30;
   opt.seed = 41;
   DatabaseState state = MakeConsistentState(s, opt);
-  Result<KeyEquivalentMaintainer> m2 = KeyEquivalentMaintainer::Create(state);
-  Result<CtmMaintainer> m5 = CtmMaintainer::Create(state);
+  Result<BlockShard> m2 = Alg2Shard(state);
+  Result<BlockShard> m5 = Alg5Shard(state);
   ASSERT_TRUE(m2.ok());
   ASSERT_TRUE(m5.ok());
   std::vector<InsertInstance> stream =

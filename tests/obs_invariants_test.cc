@@ -1,8 +1,8 @@
 // Counter-backed complexity invariants on the paper's worked examples:
 // the obs counters are not just monotone gauges, they carry executable
 // bounds from the paper's analysis. Each test runs an engine entry point
-// between two registry snapshots and checks the counter delta against the
-// bound. With IRD_OBS=OFF every delta is zero and the lower-bound
+// inside an obs::ObsContext and checks the context's counter delta against
+// the bound. With IRD_OBS=OFF every delta is zero and the lower-bound
 // assertions are vacuous, so the whole file skips.
 
 #include <cstdint>
@@ -11,9 +11,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ctm_maintainer.h"
+#include "core/block_shard.h"
 #include "core/kep.h"
-#include "core/key_equivalent_maintainer.h"
 #include "core/recognition.h"
 #include "engine/scheme_analysis.h"
 #include "obs/export.h"
@@ -23,6 +22,9 @@
 
 namespace ird {
 namespace {
+
+using test::CounterDelta;
+using test::MeasureInContext;
 
 struct NamedScheme {
   const char* name;
@@ -47,29 +49,6 @@ std::vector<NamedScheme> PaperExamples() {
   return out;
 }
 
-uint64_t DeltaOf(const obs::Snapshot& delta, std::string_view name) {
-  for (const auto& [counter, value] : delta.counters) {
-    if (counter == name) return value;
-  }
-  return 0;
-}
-
-template <typename Body>
-obs::Snapshot Measure(Body body) {
-  obs::Snapshot before = obs::TakeSnapshot();
-  body();
-  return obs::DeltaSince(before);
-}
-
-#ifdef IRD_OBS_DISABLED
-#define IRD_REQUIRE_OBS() \
-  GTEST_SKIP() << "instrumentation compiled out (IRD_OBS=OFF)"
-#else
-#define IRD_REQUIRE_OBS() \
-  do {                    \
-  } while (false)
-#endif
-
 // Both closure engines bound their work per computation: the indexed
 // engine fires each FD at most once (<= |F| iterations), the naive engine
 // scans until a fixpoint (<= |F|+1 passes). Either way, over any run
@@ -79,10 +58,10 @@ TEST(ObsInvariantsTest, ClosureIterationsBoundedByFdCount) {
   IRD_REQUIRE_OBS();
   for (const NamedScheme& example : PaperExamples()) {
     const uint64_t fd_count = example.scheme.key_dependencies().size();
-    obs::Snapshot delta = Measure(
+    obs::Snapshot delta = MeasureInContext(
         [&] { (void)RecognizeIndependenceReducible(example.scheme); });
-    const uint64_t computations = DeltaOf(delta, "closure.computations");
-    const uint64_t iterations = DeltaOf(delta, "closure.iterations");
+    const uint64_t computations = CounterDelta(delta, "closure.computations");
+    const uint64_t iterations = CounterDelta(delta, "closure.iterations");
     EXPECT_GT(computations, 0u) << example.name;
     EXPECT_LE(iterations, (fd_count + 1) * computations) << example.name;
   }
@@ -95,8 +74,8 @@ TEST(ObsInvariantsTest, KepRoundsWithinRecursionTreeBound) {
   for (const NamedScheme& example : PaperExamples()) {
     const uint64_t n = example.scheme.size();
     obs::Snapshot delta =
-        Measure([&] { (void)KeyEquivalentPartition(example.scheme); });
-    const uint64_t rounds = DeltaOf(delta, "kep.rounds");
+        MeasureInContext([&] { (void)KeyEquivalentPartition(example.scheme); });
+    const uint64_t rounds = CounterDelta(delta, "kep.rounds");
     EXPECT_GE(rounds, 1u) << example.name;
     EXPECT_LE(rounds, 2 * n - 1) << example.name;
   }
@@ -109,9 +88,10 @@ TEST(ObsInvariantsTest, IndependenceTestsQuadraticallyBounded) {
   IRD_REQUIRE_OBS();
   for (const NamedScheme& example : PaperExamples()) {
     const uint64_t n = example.scheme.size();
-    obs::Snapshot delta = Measure(
+    obs::Snapshot delta = MeasureInContext(
         [&] { (void)RecognizeIndependenceReducible(example.scheme); });
-    EXPECT_LE(DeltaOf(delta, "recognition.independence_tests"), n * (n - 1))
+    EXPECT_LE(CounterDelta(delta, "recognition.independence_tests"),
+              n * (n - 1))
         << example.name;
   }
 }
@@ -125,18 +105,18 @@ TEST(ObsInvariantsTest, RepeatRecognitionBuildsNoEngine) {
   IRD_REQUIRE_OBS();
   for (const NamedScheme& example : PaperExamples()) {
     SchemeAnalysis analysis(example.scheme);
-    obs::Snapshot cold = Measure(
+    obs::Snapshot cold = MeasureInContext(
         [&] { (void)RecognizeIndependenceReducible(analysis); });
-    EXPECT_GT(DeltaOf(cold, "engine.closure_engine.builds"), 0u)
+    EXPECT_GT(CounterDelta(cold, "engine.closure_engine.builds"), 0u)
         << example.name;
-    obs::Snapshot warm = Measure(
+    obs::Snapshot warm = MeasureInContext(
         [&] { (void)RecognizeIndependenceReducible(analysis); });
-    EXPECT_EQ(DeltaOf(warm, "engine.closure_engine.builds"), 0u)
+    EXPECT_EQ(CounterDelta(warm, "engine.closure_engine.builds"), 0u)
         << example.name;
-    EXPECT_EQ(DeltaOf(warm, "engine.closure_memo.misses"), 0u)
+    EXPECT_EQ(CounterDelta(warm, "engine.closure_memo.misses"), 0u)
         << example.name;
-    EXPECT_EQ(DeltaOf(warm, "closure.computations"), 0u) << example.name;
-    EXPECT_EQ(DeltaOf(warm, "engine.invalidations"), 0u) << example.name;
+    EXPECT_EQ(CounterDelta(warm, "closure.computations"), 0u) << example.name;
+    EXPECT_EQ(CounterDelta(warm, "engine.invalidations"), 0u) << example.name;
   }
 }
 
@@ -152,18 +132,19 @@ TEST(ObsInvariantsTest, ChaseProbesMonotoneInChainLength) {
   uint64_t previous_probes = 0;
   for (size_t n = 2; n <= 8; ++n) {
     DatabaseScheme scheme = MakeChainScheme(n);
-    obs::Snapshot delta = Measure([&] { (void)IsLosslessByChase(scheme); });
-    const uint64_t probes = DeltaOf(delta, "chase.seed_probes") +
-                            DeltaOf(delta, "chase.reprobes");
-    const uint64_t equates = DeltaOf(delta, "chase.equates");
-    const uint64_t rows = DeltaOf(delta, "tableau.rows_materialized");
+    obs::Snapshot delta =
+        MeasureInContext([&] { (void)IsLosslessByChase(scheme); });
+    const uint64_t probes = CounterDelta(delta, "chase.seed_probes") +
+                            CounterDelta(delta, "chase.reprobes");
+    const uint64_t equates = CounterDelta(delta, "chase.equates");
+    const uint64_t rows = CounterDelta(delta, "tableau.rows_materialized");
     EXPECT_GE(rows, n) << "chain n=" << n
                        << ": the chase tableau starts with one row per "
                           "relation";
     EXPECT_GT(equates, 0u) << "chain n=" << n
                            << ": joining the chain must merge symbols";
     EXPECT_GE(probes, equates) << "chain n=" << n;
-    EXPECT_EQ(DeltaOf(delta, "chase.index_repairs"), equates)
+    EXPECT_EQ(CounterDelta(delta, "chase.index_repairs"), equates)
         << "chain n=" << n;
     EXPECT_GE(probes, previous_probes) << "chain n=" << n;
     previous_probes = probes;
@@ -197,16 +178,16 @@ TEST(ObsInvariantsTest, Alg5RejectionConstantTimeCounters) {
     opt.coverage = 1.0;
     opt.seed = 53;
     DatabaseState state = MakeConsistentState(scheme, opt);
-    Result<CtmMaintainer> m = CtmMaintainer::Create(std::move(state), false);
+    Result<BlockShard> m = test::Alg5Shard(state, false);
     ASSERT_TRUE(m.ok());
-    PartialTuple clash = ChainClashTuple(scheme, m->state());
+    PartialTuple clash = ChainClashTuple(scheme, m->substate());
     obs::Snapshot delta =
-        Measure([&] { EXPECT_FALSE(m->CheckInsert(0, clash).ok()); });
-    EXPECT_EQ(DeltaOf(delta, "maintain.alg5.checks"), 1u)
+        MeasureInContext([&] { EXPECT_FALSE(m->CheckInsert(0, clash).ok()); });
+    EXPECT_EQ(CounterDelta(delta, "maintain.alg5.checks"), 1u)
         << "entities=" << entities;
-    EXPECT_EQ(DeltaOf(delta, "maintain.alg5.rejects"), 1u)
+    EXPECT_EQ(CounterDelta(delta, "maintain.alg5.rejects"), 1u)
         << "entities=" << entities;
-    probes.push_back(DeltaOf(delta, "maintain.alg5.probes"));
+    probes.push_back(CounterDelta(delta, "maintain.alg5.probes"));
   }
   EXPECT_GT(probes[0], 0u);
   EXPECT_EQ(probes[0], probes[1]);
@@ -225,22 +206,21 @@ TEST(ObsInvariantsTest, Alg2RejectionBoundedByPoolKeys) {
     opt.coverage = 1.0;
     opt.seed = 53;
     DatabaseState state = MakeConsistentState(scheme, opt);
-    Result<KeyEquivalentMaintainer> m =
-        KeyEquivalentMaintainer::Create(std::move(state));
+    Result<BlockShard> m = test::Alg2Shard(state);
     ASSERT_TRUE(m.ok());
-    PartialTuple clash = ChainClashTuple(scheme, m->state());
+    PartialTuple clash = ChainClashTuple(scheme, m->substate());
     obs::Snapshot delta =
-        Measure([&] { EXPECT_FALSE(m->CheckInsert(0, clash).ok()); });
-    EXPECT_EQ(DeltaOf(delta, "maintain.alg2.checks"), 1u)
+        MeasureInContext([&] { EXPECT_FALSE(m->CheckInsert(0, clash).ok()); });
+    EXPECT_EQ(CounterDelta(delta, "maintain.alg2.checks"), 1u)
         << "entities=" << entities;
-    EXPECT_EQ(DeltaOf(delta, "maintain.alg2.rejects"), 1u)
+    EXPECT_EQ(CounterDelta(delta, "maintain.alg2.rejects"), 1u)
         << "entities=" << entities;
-    EXPECT_EQ(DeltaOf(delta, "maintain.alg2.lookups"),
-              DeltaOf(delta, "maintain.alg2.keys_processed"))
+    EXPECT_EQ(CounterDelta(delta, "maintain.alg2.lookups"),
+              CounterDelta(delta, "maintain.alg2.keys_processed"))
         << "entities=" << entities;
-    EXPECT_LE(DeltaOf(delta, "maintain.alg2.lookups"), 5u)
+    EXPECT_LE(CounterDelta(delta, "maintain.alg2.lookups"), 5u)
         << "entities=" << entities;
-    lookups.push_back(DeltaOf(delta, "maintain.alg2.lookups"));
+    lookups.push_back(CounterDelta(delta, "maintain.alg2.lookups"));
   }
   EXPECT_GT(lookups[0], 0u);
   EXPECT_EQ(lookups[0], lookups[1]);
@@ -257,12 +237,13 @@ TEST(ObsInvariantsTest, RecognitionTouchesAllPhases) {
                                 : name == std::string_view("Example11")
                                       ? test::Example11()
                                       : test::Example12();
-    obs::Snapshot delta =
-        Measure([&] { EXPECT_TRUE(IsIndependenceReducible(scheme)) << name; });
-    EXPECT_GT(DeltaOf(delta, "kep.rounds"), 0u) << name;
-    EXPECT_GT(DeltaOf(delta, "closure.computations"), 0u) << name;
-    EXPECT_GT(DeltaOf(delta, "recognition.independence_tests"), 0u) << name;
-    EXPECT_GT(DeltaOf(delta, "recognition.runs"), 0u) << name;
+    obs::Snapshot delta = MeasureInContext(
+        [&] { EXPECT_TRUE(IsIndependenceReducible(scheme)) << name; });
+    EXPECT_GT(CounterDelta(delta, "kep.rounds"), 0u) << name;
+    EXPECT_GT(CounterDelta(delta, "closure.computations"), 0u) << name;
+    EXPECT_GT(CounterDelta(delta, "recognition.independence_tests"), 0u)
+        << name;
+    EXPECT_GT(CounterDelta(delta, "recognition.runs"), 0u) << name;
   }
 }
 

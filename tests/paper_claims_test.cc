@@ -4,10 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "core/augmentation.h"
-#include "core/block_maintainer.h"
+#include "core/block_shard.h"
 #include "core/classify.h"
 #include "core/ctm_maintainer.h"
-#include "core/key_equivalent_maintainer.h"
 #include "core/split.h"
 #include "core/total_projection.h"
 #include "relation/weak_instance.h"
@@ -22,8 +21,9 @@ using test::Tuple;
 
 // Example 5 / Theorem 3.4: on a split key-equivalent scheme, the raw-state
 // key-probe procedure of Algorithm 5 is WRONG — it accepts an insert the
-// chase rejects. (This is exactly why CtmMaintainer::Create refuses split
-// schemes, and why the paper needs Algorithm 2's representative instance.)
+// chase rejects. (This is exactly why BlockShard runs Algorithm 5 only on
+// split-free blocks, and why the paper needs Algorithm 2's representative
+// instance.)
 TEST(PaperClaimsTest, Example5SplitDefeatsRawKeyProbes) {
   DatabaseScheme s = test::Example4();
   constexpr Value a = 1, b = 2, c = 3, e = 10, e2 = 11, eprime = 20;
@@ -39,8 +39,7 @@ TEST(PaperClaimsTest, Example5SplitDefeatsRawKeyProbes) {
   // <a,b,c,e> via E -> B/C, BC -> D, D -> A, and A -> E forces e).
   EXPECT_FALSE(WouldRemainConsistent(state, 2, insert));
   // Algorithm 2 (representative-instance lookups): correct.
-  Result<KeyEquivalentMaintainer> alg2 =
-      KeyEquivalentMaintainer::Create(state);
+  Result<BlockShard> alg2 = test::Alg2Shard(state);
   ASSERT_TRUE(alg2.ok());
   EXPECT_FALSE(alg2->CheckInsert(2, insert).ok());
   // Algorithm 5's probes applied anyway (the scheme is split, so this is

@@ -13,12 +13,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/block_maintainer.h"
+#include "core/block_shard.h"
 #include "core/classify.h"
-#include "core/ctm_maintainer.h"
 #include "core/key_equivalence.h"
-#include "core/key_equivalent_maintainer.h"
 #include "core/representative_index.h"
+#include "core/sharded_maintainer.h"
 #include "core/split.h"
 #include "core/total_projection.h"
 #include "hypergraph/hypergraph.h"
@@ -157,18 +156,17 @@ TEST_P(PropertySweep, P2_MaintenanceAgreesWithChase) {
   if (!recognition.accepted) GTEST_SKIP() << "outside the class";
   DatabaseState state = MakeState(15);
   ASSERT_TRUE(IsConsistent(state));
-  Result<IndependenceReducibleMaintainer> block =
-      IndependenceReducibleMaintainer::Create(state);
+  Result<ShardedMaintainer> block = ShardedMaintainer::Create(state);
   ASSERT_TRUE(block.ok());
-  std::optional<KeyEquivalentMaintainer> alg2;
+  std::optional<BlockShard> alg2;
   if (IsKeyEquivalent(scheme_)) {
-    Result<KeyEquivalentMaintainer> m = KeyEquivalentMaintainer::Create(state);
+    Result<BlockShard> m = test::Alg2Shard(state);
     ASSERT_TRUE(m.ok());
     alg2.emplace(std::move(m).value());
   }
-  std::optional<CtmMaintainer> alg5;
+  std::optional<BlockShard> alg5;
   if (IsKeyEquivalent(scheme_) && IsSplitFree(scheme_)) {
-    Result<CtmMaintainer> m = CtmMaintainer::Create(state);
+    Result<BlockShard> m = test::Alg5Shard(state);
     ASSERT_TRUE(m.ok());
     alg5.emplace(std::move(m).value());
   }

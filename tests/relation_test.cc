@@ -71,6 +71,23 @@ TEST(PartialRelationTest, SetEquals) {
   EXPECT_TRUE(a.SetEquals(b));
   b.Add({3});
   EXPECT_FALSE(a.SetEquals(b));
+
+  // Wider rows, reversed order, duplicates on one side only.
+  PartialRelation c(AttributeSet{0, 1});
+  PartialRelation d(AttributeSet{0, 1});
+  for (Value v = 0; v < 50; ++v) c.Add({v, v + 100});
+  for (Value v = 50; v-- > 0;) {
+    d.Add({v, v + 100});
+    if (v % 7 == 0) d.Add({v, v + 100});
+  }
+  EXPECT_TRUE(c.SetEquals(d));
+  EXPECT_TRUE(d.SetEquals(c));
+  // Equal row counts, but a duplicate stands in for a missing row.
+  PartialRelation e(AttributeSet{0, 1});
+  for (Value v = 0; v < 49; ++v) e.Add({v, v + 100});
+  e.Add({0, 100});
+  EXPECT_FALSE(c.SetEquals(e));
+  EXPECT_FALSE(e.SetEquals(c));
 }
 
 TEST(PartialRelationTest, SatisfiesFds) {

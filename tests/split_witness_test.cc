@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/block_shard.h"
 #include "core/ctm_maintainer.h"
-#include "core/key_equivalent_maintainer.h"
 #include "core/split.h"
 #include "core/split_witness.h"
 #include "relation/weak_instance.h"
@@ -38,8 +38,7 @@ void VerifyWitness(const DatabaseScheme& s, const SplitWitness& w) {
   EXPECT_TRUE(WouldRemainConsistent(without_cover, w.insert_rel, w.insert))
       << s.ToString();
   // Algorithm 2 (correct for every key-equivalent scheme) rejects u.
-  Result<KeyEquivalentMaintainer> alg2 =
-      KeyEquivalentMaintainer::Create(w.state);
+  Result<BlockShard> alg2 = test::Alg2Shard(w.state);
   ASSERT_TRUE(alg2.ok());
   EXPECT_FALSE(alg2->CheckInsert(w.insert_rel, w.insert).ok());
 }

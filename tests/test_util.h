@@ -4,10 +4,26 @@
 #ifndef IRD_TESTS_TEST_UTIL_H_
 #define IRD_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <numeric>
+#include <string_view>
 #include <vector>
 
+#include "core/block_shard.h"
+#include "obs/export.h"
 #include "relation/database_state.h"
 #include "schema/database_scheme.h"
+
+// Tests that assert obs counter deltas skip themselves when the
+// instrumentation is compiled out (every delta would read zero).
+#ifdef IRD_OBS_DISABLED
+#define IRD_REQUIRE_OBS() \
+  GTEST_SKIP() << "instrumentation compiled out (IRD_OBS=OFF)"
+#else
+#define IRD_REQUIRE_OBS() \
+  do {                    \
+  } while (false)
+#endif
 
 namespace ird::test {
 
@@ -189,6 +205,49 @@ inline PartialTuple Tuple(const DatabaseScheme& scheme,
     ordered.push_back(v);
   }
   return PartialTuple(attrs, std::move(ordered));
+}
+
+// Every relation index of `scheme`: the pool that makes one BlockShard
+// span a whole key-equivalent scheme.
+inline std::vector<size_t> AllRelations(const DatabaseScheme& scheme) {
+  std::vector<size_t> pool(scheme.size());
+  std::iota(pool.begin(), pool.end(), 0);
+  return pool;
+}
+
+// Algorithm 2 (RepresentativeIndex) over a whole key-equivalent scheme:
+// one BlockShard spanning every relation. Building the representative
+// instance also verifies that `state` is consistent.
+inline Result<BlockShard> Alg2Shard(const DatabaseState& state) {
+  return BlockShard::Build(state, AllRelations(state.scheme()),
+                           /*split_free=*/false, /*verify_consistency=*/true);
+}
+
+// Algorithm 5 (StateKeyIndex) over a whole split-free key-equivalent
+// scheme. With `verify_consistency`, the state is chased once first.
+inline Result<BlockShard> Alg5Shard(const DatabaseState& state,
+                                    bool verify_consistency = true) {
+  return BlockShard::Build(state, AllRelations(state.scheme()),
+                           /*split_free=*/true, verify_consistency);
+}
+
+// The value of counter `name` in a snapshot delta (0 when absent).
+inline uint64_t CounterDelta(const obs::Snapshot& delta,
+                             std::string_view name) {
+  for (const auto& [counter, value] : delta.counters) {
+    if (counter == name) return value;
+  }
+  return 0;
+}
+
+// Runs `body` inside a fresh obs::ObsContext and returns the context's
+// deltas: the counters of exactly this operation, whatever else the
+// process records meanwhile.
+template <typename Body>
+obs::Snapshot MeasureInContext(Body body) {
+  obs::ObsContext context("test");
+  body();
+  return obs::ContextSnapshot(context);
 }
 
 }  // namespace ird::test
